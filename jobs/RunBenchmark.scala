@@ -2,7 +2,6 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.core.Diablo
-import repro.local.LocalBackend.{ArrayD, ScalarD}
 import repro.programs.Benchmarks
 import repro.spark.SparkBackend
 import repro.spark.SparkBackend.{SArr, SScalar}
@@ -27,11 +26,7 @@ object RunBenchmark {
       .getOrCreate()
 
     val code = Diablo.compile(p.source, p.sigs)
-    val state = p.data(scale, seed).map {
-      case (n, ScalarD(v))        => n -> SScalar(v)
-      case (n, a @ ArrayD(_, ka)) =>
-        n -> SArr(Some(SparkBackend.arrayToDF(spark, a)), ka)
-    }
+    val state = SparkBackend.fromLocal(spark, p.data(scale, seed))
     val result = SparkBackend.run(code, state, spark)
     for (o <- p.outputs) result(o) match {
       case SScalar(v)        => println(s"$o = $v")

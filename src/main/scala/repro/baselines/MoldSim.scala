@@ -107,7 +107,7 @@ object MoldSim {
     // matrix multiply: for i { for j { R:=0; for k R += M[i,k]*N[k,j] } }
     case ForRange(j, _, _, inner) => flatten(inner) match {
       case List(Assign(LIndex(r1, _), _),
-                ForRange(k, _, _, IncrAssign(LIndex(r2, _), "+",
+                ForRange(_, _, _, IncrAssign(LIndex(r2, _), "+",
                   BinOp("*", Index(_, _), Index(_, _))))) if r1 == r2 =>
         List("join-reduce(matmul)")
       case List(single) => rangeTemplates2(Set(v, j), single)
@@ -140,7 +140,7 @@ object MoldSim {
 
   private def flatBody(body: Stmt): Option[Stmt] = body match {
     case Block(List(s))    => flatBody(s)
-    case If(c, t, None)    => flatBody(t) // condition checked by caller via zippable
+    case If(_, t, None)    => flatBody(t) // condition checked by caller via zippable
     case s @ (_: Assign | _: IncrAssign) => Some(s)
     case _                 => None
   }

@@ -9,7 +9,6 @@ import repro.programs.Benchmarks.ProgramSpec
 import repro.spark.SparkBackend
 import repro.spark.SparkBackend.{SArr, SScalar, SValue}
 import repro.handwritten.HandWritten
-import repro.local.LocalBackend.{ArrayD, Rec, ScalarD}
 
 /** Benchmark harnesses, one per paper table. Each prints the paper's
   * numbers next to ours so the reader can diff shapes (see EXPERIMENTS.md).
@@ -181,14 +180,9 @@ object Harness {
   def figure3(spark: SparkSession): List[Fig3Row] =
     Benchmarks.table2.map { p =>
       val scale = figure3Scales(p.name)
-      val data = p.data(scale, 42)
-      val state: Map[String, SValue] = data.map {
-        case (n, ScalarD(v)) => n -> SScalar(v)
-        case (n, a @ ArrayD(_, ka)) =>
-          val df = SparkBackend.arrayToDF(spark, a).cache()
-          df.count() // materialize inputs outside the timed region
-          n -> SArr(Some(df), ka)
-      }
+      val state = SparkBackend.fromLocal(spark, p.data(scale, 42))
+      // cache and materialize inputs outside the timed region
+      state.values.foreach { case SArr(Some(df), _) => df.cache().count(); case _ => () }
       val code = Diablo.compile(p.source, p.sigs)
       val diabloMs = timeMs(3) {
         val st = SparkBackend.run(code, state, spark)
@@ -196,13 +190,12 @@ object Harness {
           case SArr(Some(df), _) => df.count(); case _ => ()
         }}
       }
-      val handMs = timeMs(3)(runHandWritten(p.name, state, spark))
+      val handMs = timeMs(3)(runHandWritten(p.name, state))
       Fig3Row(p.name, scale, diabloMs, handMs)
     }
 
   /** Run (and force) the hand-written counterpart of a benchmark. */
-  def runHandWritten(name: String, state: Map[String, SValue],
-                     spark: SparkSession): Unit = {
+  def runHandWritten(name: String, state: Map[String, SValue]): Unit = {
     def df(n: String) = state(n).asInstanceOf[SArr].df.get
     def scalar(n: String) = state(n).asInstanceOf[SScalar].v
     name match {

@@ -115,21 +115,42 @@ object Comprehension {
 
   // ------------------------------------------------------------- helpers
 
+  /** Direct subexpressions of an expression, left to right. */
+  def children(e: CExpr): List[CExpr] = e match {
+    case CBin(_, l, r)     => List(l, r)
+    case CUn(_, b)         => List(b)
+    case CField(b, _)      => List(b)
+    case CTup(es)          => es
+    case CCall(_, as)      => as
+    case CIf(c, t, f)      => List(c, t, f)
+    case CReduce(_, b)     => List(b)
+    case CCombine(_, l, r) => List(l, r)
+    case CRange(l, h)      => List(l, h)
+    case CVar(_) | CLit(_) | CState(_) | CArr(_) => Nil
+  }
+
+  /** Rebuild an expression with `f` applied to its direct subexpressions,
+    * left to right (so fresh names drawn by `f` follow source order).
+    */
+  def mapChildren(e: CExpr)(f: CExpr => CExpr): CExpr = e match {
+    case CBin(op, l, r)    => CBin(op, f(l), f(r))
+    case CUn(op, b)        => CUn(op, f(b))
+    case CField(b, fl)     => CField(f(b), fl)
+    case CTup(es)          => CTup(es.map(f))
+    case CCall(g, as)      => CCall(g, as.map(f))
+    case CIf(c, t, el)     => CIf(f(c), f(t), f(el))
+    case CReduce(m, b)     => CReduce(m, f(b))
+    case CCombine(m, l, r) => CCombine(m, f(l), f(r))
+    case CRange(l, h)      => CRange(f(l), f(h))
+    case CVar(_) | CLit(_) | CState(_) | CArr(_) => e
+  }
+
   /** Free comprehension variables of an expression (CVar only; state
     * references are not comprehension variables).
     */
   def freeVars(e: CExpr): Set[String] = e match {
-    case CVar(n)           => Set(n)
-    case CBin(_, l, r)     => freeVars(l) ++ freeVars(r)
-    case CUn(_, b)         => freeVars(b)
-    case CField(b, _)      => freeVars(b)
-    case CTup(es)          => es.flatMap(freeVars).toSet
-    case CCall(_, as)      => as.flatMap(freeVars).toSet
-    case CIf(c, t, f)      => freeVars(c) ++ freeVars(t) ++ freeVars(f)
-    case CReduce(_, b)     => freeVars(b)
-    case CCombine(_, l, r) => freeVars(l) ++ freeVars(r)
-    case CRange(l, h)      => freeVars(l) ++ freeVars(h)
-    case _                 => Set.empty
+    case CVar(n) => Set(n)
+    case _       => children(e).foldLeft(Set.empty[String])(_ ++ freeVars(_))
   }
 
   /** Variables bound by a qualifier. */
@@ -149,17 +170,8 @@ object Comprehension {
       : (CExpr, List[(String, Monoid, CExpr)]) = {
     val acc = scala.collection.mutable.LinkedHashMap.empty[(Monoid, CExpr), String]
     def go(x: CExpr): CExpr = x match {
-      case CReduce(m, b) =>
-        val v = acc.getOrElseUpdate((m, b), fresh())
-        CVar(v)
-      case CBin(op, l, r)     => CBin(op, go(l), go(r))
-      case CUn(op, b)         => CUn(op, go(b))
-      case CField(b, f)       => CField(go(b), f)
-      case CTup(es)           => CTup(es.map(go))
-      case CCall(f, as)       => CCall(f, as.map(go))
-      case CIf(c, t, f)       => CIf(go(c), go(t), go(f))
-      case CCombine(m, l, r)  => CCombine(m, go(l), go(r))
-      case other              => other
+      case CReduce(m, b) => CVar(acc.getOrElseUpdate((m, b), fresh()))
+      case _             => mapChildren(x)(go)
     }
     val e2 = go(e)
     (e2, acc.toList.map { case ((m, b), v) => (v, m, b) })

@@ -24,16 +24,6 @@ object Diablo {
     Optimize.optimize(Translate.translate(ast, inputs))
   }
 
-  /** Translation without the optimizer (used by tests that inspect the
-    * unoptimized shapes of §3.9).
-    */
-  def compileNoOpt(src: String, inputs: Map[String, Sig]): List[TStmt] = {
-    val ast = Parser.parse(src)
-    val errs = Analysis.check(ast)
-    if (errs.nonEmpty) throw RestrictionError(errs)
-    Translate.translate(ast, inputs)
-  }
-
   /** Restriction check only. */
   def check(src: String): List[Analysis.Violation] =
     Analysis.check(Parser.parse(src))

@@ -114,10 +114,6 @@ object Optimize {
         if (!unique) c
         else {
           val lets = kvars.zip(keys).map { case (v, k) => QLet(PVar(v), k) }
-          val dropReduce = (e: CExpr) => mapExpr(e) {
-            case CReduce(_, b) => Some(b)
-            case _             => None
-          }
           val post2 = post.map {
             case QLet(p, e) => QLet(p, dropReduce(e))
             case QPred(e)   => QPred(dropReduce(e))
@@ -128,21 +124,11 @@ object Optimize {
       case _ => c
     }
 
-  /** Bottom-up rewrite: f returns Some(replacement) to substitute a node
-    * (children of replaced nodes are not revisited).
-    */
-  private def mapExpr(e: CExpr)(f: CExpr => Option[CExpr]): CExpr =
-    f(e).getOrElse(e match {
-      case CBin(op, l, r)    => CBin(op, mapExpr(l)(f), mapExpr(r)(f))
-      case CUn(op, b)        => CUn(op, mapExpr(b)(f))
-      case CField(b, fl)     => CField(mapExpr(b)(f), fl)
-      case CTup(es)          => CTup(es.map(mapExpr(_)(f)))
-      case CCall(g, as)      => CCall(g, as.map(mapExpr(_)(f)))
-      case CIf(c, t, fe)     => CIf(mapExpr(c)(f), mapExpr(t)(f), mapExpr(fe)(f))
-      case CReduce(m, b)     => CReduce(m, mapExpr(b)(f))
-      case CCombine(m, l, r) => CCombine(m, mapExpr(l)(f), mapExpr(r)(f))
-      case other             => other
-    })
+  /** Every reduction ⊕/e over a singleton group degenerates to e. */
+  private def dropReduce(e: CExpr): CExpr = e match {
+    case CReduce(_, b) => b
+    case _             => mapChildren(e)(dropReduce)
+  }
 
   private final class UnionFind {
     private val parent = scala.collection.mutable.Map.empty[String, String]

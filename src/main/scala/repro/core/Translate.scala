@@ -86,9 +86,7 @@ object Translate {
         }
 
       case Assign(LIndex(a, idxs), e) => // rule (15b), array destination
-        val ka = arrayArity(a, idxs.length)
-        require(idxs.length == ka,
-          s"$a indexed with ${idxs.length} indexes but has $ka")
+        arrayArity(a, idxs.length) // checks that a is an array with that arity
         val (qe, v)  = expr(e)
         val (qk, ks) = exprs(idxs)
         List(TAssign(a, Comp(CTup(ks :+ v), qs ++ qe ++ qk), isArray = true))
@@ -103,8 +101,6 @@ object Translate {
       case IncrAssign(LIndex(a, idxs), op, e) => // rule (15a), array destination
         val m  = Monoid.ofOp(op)
         val ka = arrayArity(a, idxs.length)
-        require(idxs.length == ka,
-          s"$a indexed with ${idxs.length} indexes but has $ka")
         val (qe, v)  = expr(e)
         val (qk, ks) = exprs(idxs)
         val kvars = List.fill(ka)(fresh("k"))
@@ -152,8 +148,11 @@ object Translate {
       try f finally if (!had) loopVars -= v
     }
 
+    /** Key arity of array `a`, which the program indexes with `used` indexes. */
     private def arrayArity(a: String, used: Int): Int = sigs.get(a) match {
-      case Some(ArraySig(n)) => n
+      case Some(ArraySig(n)) if n == used => n
+      case Some(ArraySig(n)) =>
+        throw new TranslateError(s"$a indexed with $used indexes but has $n")
       case Some(ScalarSig) =>
         throw new TranslateError(s"scalar $a used as an array")
       case None =>
@@ -180,8 +179,6 @@ object Translate {
 
       case Index(a, idxs) => // rule (11c)
         val ka = arrayArity(a, idxs.length)
-        require(idxs.length == ka,
-          s"$a indexed with ${idxs.length} indexes but has $ka")
         val (qk, ks) = exprs(idxs)
         val ivars = List.fill(ka)(fresh("i"))
         val v     = fresh("v")

@@ -1,6 +1,6 @@
 package repro.handwritten
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Hand-written Spark (DataFrame) counterparts of the benchmark programs —

@@ -151,24 +151,6 @@ object LocalBackend {
       throw new IllegalArgumentException(s"not a scalar expression: ${show(e)}")
   }
 
-  /** Driver path for generator-free comprehensions (while conditions and
-    * pure-scalar assignments): None when a condition fails.
-    */
-  def evalDriverComp(c: Comp, scalar: String => Any): Option[Any] = {
-    var env: Env = Map.empty
-    for (q <- c.quals) q match {
-      case QLet(PVar(v), e) => env += v -> evalExpr(e, env, scalar)
-      case QPred(e) =>
-        if (!evalExpr(e, env, scalar).asInstanceOf[Boolean]) return None
-      case QGroup(Nil, Nil) => () // single group: CReduce is identity
-      case other =>
-        throw new IllegalArgumentException(s"not driver-evaluable: ${show(other)}")
-    }
-    Some(evalExpr(c.head, env, scalar))
-  }
-
-  def hasGen(c: Comp): Boolean = c.quals.exists(_.isInstanceOf[Gen])
-
   // --------------------------------------------------- comprehension plan
 
   /** Planned qualifier ops: array scans carry the equality predicates that
@@ -376,15 +358,8 @@ object LocalBackend {
   }
 
   private def containsReduce(e: CExpr): Boolean = e match {
-    case CReduce(_, _)     => true
-    case CBin(_, l, r)     => containsReduce(l) || containsReduce(r)
-    case CUn(_, b)         => containsReduce(b)
-    case CField(b, _)      => containsReduce(b)
-    case CTup(es)          => es.exists(containsReduce)
-    case CCall(_, as)      => as.exists(containsReduce)
-    case CIf(c, t, f)      => containsReduce(c) || containsReduce(t) || containsReduce(f)
-    case CCombine(_, l, r) => containsReduce(l) || containsReduce(r)
-    case _                 => false
+    case CReduce(_, _) => true
+    case _             => children(e).exists(containsReduce)
   }
 
   private def toLong(a: Any): Long = a match {
@@ -398,46 +373,19 @@ object LocalBackend {
 
   /** Run target code over an initial state; returns the final state. */
   def run(prog: List[TStmt], init: Map[String, Data], par: Boolean = false)
-      : Map[String, Data] = {
-    val state = collection.mutable.Map.empty[String, Data] ++ init
-    def scalar(n: String): Any = state(n) match {
-      case ScalarD(v) => v
-      case _ => throw new IllegalArgumentException(s"$n is not a scalar")
+      : Map[String, Data] = new Executor[Data] {
+    protected def scalar(v: Any) = ScalarD(v)
+    protected val scalarValue: PartialFunction[Data, Any] = { case ScalarD(v) => v }
+    protected def emptyArray(ka: Int) = ArrayD(Map.empty, ka)
+    protected def first(c: Comp, state: State) =
+      new Evaluator(state, par).rows(c).headOption.map(_.head)
+    protected def merge(old: Data, c: Comp, ka: Int, state: State) = {
+      val entries = old match {
+        case ArrayD(m, _) => m
+        case _            => Map.empty[List[Any], Any]
+      }
+      val rows = new Evaluator(state, par).rows(c)
+      ArrayD(entries ++ rows.iterator.map(r => (r.take(ka), r.last)), ka)
     }
-
-    def exec(ts: List[TStmt]): Unit = ts.foreach {
-      case TInit(n, ka) =>
-        state(n) = ArrayD(Map.empty, ka)
-      case TAssign(n, comp, isArray) =>
-        if (!isArray && !hasGen(comp) && !comp.quals.exists(_.isInstanceOf[QLookup])) {
-          evalDriverComp(comp, scalar).foreach(v => state(n) = ScalarD(v))
-        } else {
-          val rows = new Evaluator(state, par).rows(comp)
-          if (isArray) {
-            val ka = state.get(n) match {
-              case Some(ArrayD(_, a)) => a
-              case _ => rows.headOption.map(_.length - 1).getOrElse(1)
-            }
-            val newEntries = rows.iterator.map(r => (r.take(ka), r.last)).toMap
-            val old = state.get(n) match {
-              case Some(ArrayD(m, _)) => m
-              case _                  => Map.empty[List[Any], Any]
-            }
-            state(n) = ArrayD(old ++ newEntries, ka) // V := V ◁ new
-          } else {
-            rows.headOption.foreach(r => state(n) = ScalarD(r.head))
-          }
-        }
-      case TWhileS(cond, body) =>
-        def test(): Boolean = {
-          val v =
-            if (!hasGen(cond)) evalDriverComp(cond, scalar)
-            else new Evaluator(state, par).rows(cond).headOption.map(_.head)
-          v.exists(_.asInstanceOf[Boolean])
-        }
-        while (test()) exec(body)
-    }
-    exec(prog)
-    state.toMap
-  }
+  }.run(prog, init)
 }

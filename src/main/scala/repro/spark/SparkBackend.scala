@@ -5,8 +5,8 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.core.Comprehension._
 import repro.core.Translate._
-import repro.local.LocalBackend
-import repro.local.LocalBackend.{ArrayD, Rec, ScalarD}
+import repro.local.{Executor, LocalBackend}
+import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
 
 /** Spark backend: compiles DIABLO target code to DataFrame (Catalyst)
   * operations.
@@ -60,6 +60,16 @@ object SparkBackend {
     case (f: Float, _) => f.toDouble
     case (other, _)    => other
   }
+
+  /** Local state → Spark state. An empty array has no schema to infer, so
+    * it becomes a never-assigned one.
+    */
+  def fromLocal(spark: SparkSession, data: Map[String, Data]): Map[String, SValue] =
+    data.map {
+      case (n, ScalarD(v))                 => n -> SScalar(v)
+      case (n, ArrayD(m, ka)) if m.isEmpty => n -> SArr(None, ka)
+      case (n, a @ ArrayD(_, ka))          => n -> SArr(Some(arrayToDF(spark, a)), ka)
+    }
 
   /** Local array → DataFrame with columns k1..kn, v. */
   def arrayToDF(spark: SparkSession, a: ArrayD): DataFrame = {
@@ -162,7 +172,7 @@ object SparkBackend {
       case MMax  => max(c)
     }
 
-    private def defaultCol(d: Default, valueCol: Option[Column]): Column = d match {
+    private def defaultCol(d: Default): Column = d match {
       case DZero  => lit(0)
       case DOne   => lit(1)
       case DTrue  => lit(true)
@@ -286,7 +296,7 @@ object SparkBackend {
             val base = cur.getOrElse(unitDF)
             arr(a).df match {
               case None =>
-                cur = Some(base.withColumn(name, defaultCol(default, None)))
+                cur = Some(base.withColumn(name, defaultCol(default)))
               case Some(adf) =>
                 val ka = arr(a).keyArity
                 val rNames = (0 to ka).map(_ => fresh())
@@ -297,7 +307,7 @@ object SparkBackend {
                 val vCol = col(rNames.last)
                 val wCol = default match {
                   case DNull => vCol
-                  case d     => coalesce(vCol, defaultCol(d, Some(vCol)))
+                  case d     => coalesce(vCol, defaultCol(d))
                 }
                 cur = Some(joined.withColumn(name, wCol))
             }
@@ -316,65 +326,25 @@ object SparkBackend {
 
   /** Run target code over an initial state; returns the final state. */
   def run(prog: List[TStmt], init: Map[String, SValue], spark: SparkSession)
-      : Map[String, SValue] = {
-    val state = collection.mutable.Map.empty[String, SValue] ++ init
-    def scalar(n: String): Any = state(n) match {
-      case SScalar(v) => v
-      case _ => throw new IllegalArgumentException(s"$n is not a scalar")
-    }
-
-    def keyCols(ka: Int): Seq[String] = (1 to ka).map(i => s"k$i")
-
-    def exec(ts: List[TStmt]): Unit = ts.foreach {
-      case TInit(nm, ka) => state(nm) = SArr(None, ka)
-
-      case TAssign(nm, comp, isArray) =>
-        if (!isArray && !LocalBackend.hasGen(comp)) {
-          LocalBackend.evalDriverComp(comp, scalar)
-            .foreach(v => state(nm) = SScalar(v))
-        } else {
-          val compiled = new Compiler(spark, state).compile(comp)
-          if (isArray) {
-            val ka = state.get(nm) match {
-              case Some(SArr(_, a)) => a
-              case _ => comp.head match {
-                case CTup(es) => es.length - 1
-                case _        => 1
-              }
-            }
-            compiled.foreach { df =>
-              val ndf = df.toDF(keyCols(ka) :+ "v": _*)
-              val merged = state.get(nm) match {
-                case Some(SArr(Some(odf), _)) =>
-                  val renamed = ndf.withColumnRenamed("v", "_nv")
-                  odf.join(renamed, keyCols(ka), "full_outer")
-                    .select(keyCols(ka).map(col) :+
-                      coalesce(col("_nv"), col("v")).as("v"): _*)
-                case _ => ndf
-              }
-              state(nm) = SArr(Some(merged.localCheckpoint(true)), ka)
-            }
-          } else {
-            compiled.foreach { df =>
-              val rows = df.collect()
-              if (rows.nonEmpty)
-                state(nm) = SScalar(
-                  fromSparkValue(rows(0).get(0), df.schema.head.dataType))
-            }
-          }
+      : Map[String, SValue] = new Executor[SValue] {
+    protected def scalar(v: Any) = SScalar(v)
+    protected val scalarValue: PartialFunction[SValue, Any] = { case SScalar(v) => v }
+    protected def emptyArray(ka: Int) = SArr(None, ka)
+    protected def first(c: Comp, state: State) =
+      new Compiler(spark, state).compile(c).flatMap { df =>
+        df.collect().headOption.map(r => fromSparkValue(r.get(0), df.schema.head.dataType))
+      }
+    protected def merge(old: SValue, c: Comp, ka: Int, state: State) =
+      new Compiler(spark, state).compile(c).fold(old) { df =>
+        val keys = (1 to ka).map(i => s"k$i")
+        val ndf = df.toDF(keys :+ "v": _*)
+        val merged = old match {
+          case SArr(Some(odf), _) =>
+            odf.join(ndf.withColumnRenamed("v", "_nv"), keys, "full_outer")
+              .select(keys.map(col) :+ coalesce(col("_nv"), col("v")).as("v"): _*)
+          case _ => ndf
         }
-
-      case TWhileS(cond, body) =>
-        def test(): Boolean = {
-          val v =
-            if (!LocalBackend.hasGen(cond)) LocalBackend.evalDriverComp(cond, scalar)
-            else new Compiler(spark, state).compile(cond)
-              .flatMap(df => df.collect().headOption.map(_.get(0)))
-          v.exists(_.asInstanceOf[Boolean])
-        }
-        while (test()) exec(body)
-    }
-    exec(prog)
-    state.toMap
-  }
+        SArr(Some(merged.localCheckpoint(true)), ka)
+      }
+  }.run(prog, init)
 }

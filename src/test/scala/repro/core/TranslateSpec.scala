@@ -132,9 +132,38 @@ class TranslateSpec extends AnyFunSuite {
     assertThrows[TranslateError](tr("for v in x do y += v;",
       Map("x" -> ScalarSig, "y" -> ScalarSig)))
   }
+  test("indexing an array with the wrong number of indexes is an error") {
+    val sigs: Map[String, Sig] = Map("M" -> ArraySig(2), "x" -> ScalarSig)
+    assertThrows[TranslateError](tr("M[1] := 2.0;", sigs))
+    assertThrows[TranslateError](tr("M[1] += 2.0;", sigs))
+    assertThrows[TranslateError](tr("x := M[1];", sigs))
+  }
   test("rejected programs raise RestrictionError via Diablo.compile") {
     assertThrows[Diablo.RestrictionError](
       Diablo.compile("for i = 1, 8 do V[i] := (V[i-1] + V[i+1])/2;", vecV))
+  }
+
+  // ------------------------------------------------------ IR traversal
+
+  test("freeVars and extractReduces walk every expression form left to right") {
+    val minC = CReduce(MMin, CVar("c"))
+    val sumAB = CReduce(MSum, CBin("*", CVar("a"), CVar("b")))
+    val e = CCombine(MSum,
+      CIf(CBin("<", minC, CLit(0L)),
+        CUn("-", CField(CVar("p"), "_1")),
+        CCall("sqrt", List(CState("s")))),
+      CTup(List(sumAB, minC)))
+    assert(freeVars(e) == Set("c", "p", "a", "b"))
+
+    var n = 0
+    val (rewritten, reds) = extractReduces(e, () => { n += 1; s"_r$n" })
+    assert(reds == List(("_r1", MMin, CVar("c")),
+      ("_r2", MSum, CBin("*", CVar("a"), CVar("b")))))
+    assert(rewritten == CCombine(MSum,
+      CIf(CBin("<", CVar("_r1"), CLit(0L)),
+        CUn("-", CField(CVar("p"), "_1")),
+        CCall("sqrt", List(CState("s")))),
+      CTup(List(CVar("_r2"), CVar("_r1")))))
   }
 
   // ----------------------------------------------------------- optimizer

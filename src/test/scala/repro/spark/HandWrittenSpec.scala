@@ -15,7 +15,7 @@ import repro.spark.SparkTestUtil._
 class HandWrittenSpec extends SparkSpec {
 
   private def df(p: Benchmarks.ProgramSpec, name: String, scale: Int, seed: Long) =
-    arrayToDF(spark, p.data(scale, seed)(name).asInstanceOf[ArrayD])
+    arrayDF(spark, p.data(scale, seed)(name).asInstanceOf[ArrayD])
 
   private def approx(a: Double, b: Double, name: String): Unit =
     assert(math.abs(a - b) <= 1e-6 * (1.0 + math.abs(a)), s"$name: $a vs $b")
@@ -51,10 +51,10 @@ class HandWrittenSpec extends SparkSpec {
     // all-equal dataset
     val eqArr = repro.programs.BenchData.equalStrings(40)
     val code = repro.core.Diablo.compile(p.source, p.sigs)
-    val st2 = SparkBackend.run(code, toSparkState(spark, Map(
+    val st2 = SparkBackend.run(code, fromLocal(spark, Map(
       "W" -> eqArr, "w0" -> repro.local.LocalBackend.ScalarD("key7"))), spark)
     assert(outScalar(st2, "eq") == true)
-    assert(HandWritten.equal(arrayToDF(spark, eqArr), "key7"))
+    assert(HandWritten.equal(arrayDF(spark, eqArr), "key7"))
   }
 
   test("equal frequency agrees") {
@@ -152,7 +152,7 @@ class HandWrittenSpec extends SparkSpec {
         (k, (fs(0)._2.asInstanceOf[Double], fs(1)._2.asInstanceOf[Double]))
       case other => fail(s"bad centroid $other")
     }
-    val hw = HandWritten.kMeans(arrayToDF(spark, data("P").asInstanceOf[ArrayD]), centroids)
+    val hw = HandWritten.kMeans(arrayDF(spark, data("P").asInstanceOf[ArrayD]), centroids)
     assert(got.keySet.map(_.head) == hw.keySet)
     for ((k, (hx, hy)) <- hw) {
       val Rec(fs) = got(List(k)): @unchecked
@@ -167,9 +167,9 @@ class HandWrittenSpec extends SparkSpec {
     val st = runDiablo(spark, p, dim, 34)
     val data = p.data(dim, 34)
     val (hp, hq) = HandWritten.matrixFactorization(
-      arrayToDF(spark, data("R").asInstanceOf[ArrayD]),
-      arrayToDF(spark, data("P").asInstanceOf[ArrayD]),
-      arrayToDF(spark, data("Q").asInstanceOf[ArrayD]))
+      arrayDF(spark, data("R").asInstanceOf[ArrayD]),
+      arrayDF(spark, data("P").asInstanceOf[ArrayD]),
+      arrayDF(spark, data("Q").asInstanceOf[ArrayD]))
     val gotP = mapOf(outDF(st, "P2"), 2); val hwP = mapOf(hp, 2)
     assert(gotP.keySet == hwP.keySet)
     for (k <- gotP.keySet)

@@ -21,7 +21,7 @@ class IterativeSpec extends SparkSpec {
                       data: Map[String, Data]) = {
     val code = Diablo.compile(src, sigs)
     val local = LocalBackend.run(code, data)
-    val sp = SparkBackend.run(code, toSparkState(spark, data), spark)
+    val sp = SparkBackend.run(code, fromLocal(spark, data), spark)
     (local, sp)
   }
 
@@ -63,7 +63,7 @@ class IterativeSpec extends SparkSpec {
       Map("E" -> ArraySig(1), "P" -> ArraySig(1), "n" -> ScalarSig)
     val code = Diablo.compile(src, sigs)
     val local = LocalBackend.run(code, data)
-    val sp = SparkBackend.run(code, toSparkState(spark, data), spark)
+    val sp = SparkBackend.run(code, fromLocal(spark, data), spark)
     val lm = local("P").asInstanceOf[ArrayD].m
     val sm = dfToArray(outDF(sp, "P"), 1).m
     assert(lm.keySet == sm.keySet)

@@ -19,8 +19,7 @@ class OracleSpec extends SparkSpec {
     arrToDF("V", Benchmarks.conditionalSum.data(scale, seed)).select(col("v").cast("double"))
 
   private def arrToDF(name: String, data: Map[String, repro.local.LocalBackend.Data]) =
-    SparkBackend.arrayToDF(spark,
-      data(name).asInstanceOf[repro.local.LocalBackend.ArrayD])
+    arrayDF(spark, data(name).asInstanceOf[repro.local.LocalBackend.ArrayD])
 
   test("oracle: conditional sum") {
     val p = Benchmarks.conditionalSum

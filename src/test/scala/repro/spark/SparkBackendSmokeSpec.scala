@@ -2,6 +2,7 @@ package repro.spark
 
 import repro.SparkSpec
 import repro.core.Diablo
+import repro.core.Translate.{ArraySig, Sig, TStmt}
 import repro.local.LocalBackend
 import repro.local.LocalBackend.{ArrayD, Data, ScalarD}
 import repro.programs.Benchmarks
@@ -13,12 +14,6 @@ import repro.spark.SparkBackend._
   */
 class SparkBackendSmokeSpec extends SparkSpec {
 
-  def toSparkState(data: Map[String, Data]): Map[String, SValue] =
-    data.map {
-      case (n, ScalarD(v))   => n -> SScalar(v)
-      case (n, a @ ArrayD(_, ka)) => n -> SArr(Some(arrayToDF(spark, a)), ka)
-    }
-
   def assertSameValue(name: String, a: Any, b: Any): Unit = (a, b) match {
     case (x: Double, y: Double) =>
       assert(math.abs(x - y) <= 1e-6 * (1.0 + math.abs(x)), name)
@@ -27,21 +22,33 @@ class SparkBackendSmokeSpec extends SparkSpec {
 
   def assertAgree(pName: String, scale: Int): Unit = {
     val p = Benchmarks.byName(pName)
-    val code = Diablo.compile(p.source, p.sigs)
-    val data = p.data(scale, 42)
+    assertAgree(pName, Diablo.compile(p.source, p.sigs), p.data(scale, 42), p.outputs)
+  }
+
+  def assertAgree(label: String, code: List[TStmt], data: Map[String, Data],
+                  outputs: List[String]): Unit = {
     val localSt = LocalBackend.run(code, data)
-    val sparkSt = SparkBackend.run(code, toSparkState(data), spark)
-    for (o <- p.outputs) (localSt(o), sparkSt(o)) match {
-      case (ScalarD(a), SScalar(b)) => assertSameValue(s"$pName.$o", a, b)
+    val sparkSt = SparkBackend.run(code, fromLocal(spark, data), spark)
+    for (o <- outputs) (localSt(o), sparkSt(o)) match {
+      case (ScalarD(a), SScalar(b)) => assertSameValue(s"$label.$o", a, b)
       case (ArrayD(m, ka), SArr(df, ka2)) =>
-        assert(ka == ka2, s"$pName.$o arity")
+        assert(ka == ka2, s"$label.$o arity")
         val got = df.map(dfToArray(_, ka2).m).getOrElse(Map.empty)
         assert(got.keySet == m.keySet,
-          s"$pName.$o keys: missing=${(m.keySet -- got.keySet).take(3)} " +
+          s"$label.$o keys: missing=${(m.keySet -- got.keySet).take(3)} " +
           s"extra=${(got.keySet -- m.keySet).take(3)}")
-        for (k <- m.keySet) assertSameValue(s"$pName.$o[$k]", m(k), got(k))
-      case other => fail(s"$pName.$o kind mismatch: $other")
+        for (k <- m.keySet) assertSameValue(s"$label.$o[$k]", m(k), got(k))
+      case other => fail(s"$label.$o kind mismatch: $other")
     }
+  }
+
+  test("empty input arrays agree with the local backend") {
+    val src = """var s: double = 0.0; for v in V do s += v;
+                |var C: map[string,long] = map(); for w in W do C[w] += 1;""".stripMargin
+    val sigs: Map[String, Sig] = Map("V" -> ArraySig(1), "W" -> ArraySig(1))
+    val empty = ArrayD(Map.empty, 1)
+    assertAgree("empty", Diablo.compile(src, sigs), Map("V" -> empty, "W" -> empty),
+      List("s", "C"))
   }
 
   test("Sum on Spark")            { assertAgree("Sum", 50) }

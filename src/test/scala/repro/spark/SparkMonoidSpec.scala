@@ -16,7 +16,7 @@ class SparkMonoidSpec extends SparkSpec {
     ArrayD(vs.map { case (k, v) => List[Any](k) -> v }.toMap, 1)
 
   private def run(src: String, sigs: Map[String, Sig], data: Map[String, Data]) =
-    SparkBackend.run(Diablo.compile(src, sigs), toSparkState(spark, data), spark)
+    SparkBackend.run(Diablo.compile(src, sigs), fromLocal(spark, data), spark)
 
   test("*= product aggregation on Spark") {
     val st = run("var p: double = 1.0; for v in V do p *= v;",

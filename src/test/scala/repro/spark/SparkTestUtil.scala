@@ -2,25 +2,23 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.Diablo
-import repro.local.LocalBackend.{ArrayD, Data, ScalarD}
+import repro.local.LocalBackend.ArrayD
 import repro.programs.Benchmarks.ProgramSpec
 import repro.spark.SparkBackend._
 
 /** Shared helpers for Spark-side tests and benches. */
 object SparkTestUtil {
 
-  def toSparkState(spark: SparkSession, data: Map[String, Data]): Map[String, SValue] =
-    data.map {
-      case (n, ScalarD(v))        => n -> SScalar(v)
-      case (n, a @ ArrayD(_, ka)) => n -> SArr(Some(arrayToDF(spark, a)), ka)
-    }
-
   /** Compile and run a benchmark program on the Spark backend. */
   def runDiablo(spark: SparkSession, p: ProgramSpec, scale: Int, seed: Long = 42)
       : Map[String, SValue] = {
     val code = Diablo.compile(p.source, p.sigs)
-    SparkBackend.run(code, toSparkState(spark, p.data(scale, seed)), spark)
+    SparkBackend.run(code, fromLocal(spark, p.data(scale, seed)), spark)
   }
+
+  /** A non-empty local array as a DataFrame (columns k1..kn, v). */
+  def arrayDF(spark: SparkSession, a: ArrayD): DataFrame =
+    outDF(fromLocal(spark, Map("a" -> a)), "a")
 
   def outDF(st: Map[String, SValue], name: String): DataFrame =
     st(name).asInstanceOf[SArr].df.getOrElse(

@@ -5,7 +5,7 @@ import repro.SparkSpec
 import repro.handwritten.HandWritten
 import repro.local.LocalBackend.ArrayD
 import repro.programs.BenchData
-import repro.spark.SparkBackend.arrayToDF
+import repro.spark.SparkTestUtil.arrayDF
 
 /** §5 packed (tiled) matrices: pack/unpack round-trips and tiled operators
   * agreeing with their sparse counterparts.
@@ -14,7 +14,7 @@ class TiledSpec extends SparkSpec {
 
   private val t = 4 // tile size
   private def dense(d: Int, seed: Long) =
-    arrayToDF(spark, BenchData.matrix(d, seed))
+    arrayDF(spark, BenchData.matrix(d, seed))
 
   private def asMap(df: org.apache.spark.sql.DataFrame): Map[(Long, Long), Double] =
     df.collect().map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
@@ -33,7 +33,7 @@ class TiledSpec extends SparkSpec {
   }
 
   test("pack fills absent cells with zero") {
-    val sparse = arrayToDF(spark, BenchData.sparseMatrix(8, 8, 0.3, 3))
+    val sparse = arrayDF(spark, BenchData.sparseMatrix(8, 8, 0.3, 3))
     val rt = asMap(Tiled.unpack(Tiled.pack(sparse, t), t))
     val orig = asMap(sparse)
     for (i <- 0L until 8L; j <- 0L until 8L)
@@ -62,7 +62,7 @@ class TiledSpec extends SparkSpec {
     val m = Tiled.pack(dense(8, 8), t)
     // an update covering only the top-left tile
     val upd = Tiled.pack(
-      arrayToDF(spark, ArrayD(
+      arrayDF(spark, ArrayD(
         (for (i <- 0L until t.toLong; j <- 0L until t.toLong)
           yield List[Any](i, j) -> (99.0: Any)).toMap, 2)), t)
     val merged = asMap(Tiled.unpack(Tiled.merge(m, upd), t))
