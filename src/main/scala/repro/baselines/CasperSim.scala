@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.core.Ast._
-import repro.core.Comprehension.{MAnd, MMax, MMin, MOr, MSum, Monoid}
+import repro.core.Comprehension._
 import repro.core.{Diablo, Parser}
 import repro.local.LocalBackend
 import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
@@ -65,19 +65,19 @@ object CasperSim {
       case Some(p) => data(p).asInstanceOf[ArrayD].m.values.toSeq
       case None    => Seq.empty
     }
-    val typedFrags: List[(Expr, Any)] = frags.flatMap { f =>
+    val typedFrags: List[(CExpr, Any)] = frags.map(toCExpr).flatMap { f =>
       sampleElems(samples.head._1).headOption.flatMap { x =>
         try Some(f -> evalFrag(f, x, scalars)) catch { case _: Exception => None }
       }
     }
     val valFrags  = typedFrags.filterNot(_._2.isInstanceOf[Boolean]).map(_._1)
     val boolFrags = typedFrags.filter(_._2.isInstanceOf[Boolean]).map(_._1)
-    val preds: List[Option[Expr]] = None :: boolFrags.map(Some(_))
+    val preds: List[Option[CExpr]] = None :: boolFrags.map(Some(_))
 
     def overBudget: Boolean = System.nanoTime > deadline
 
     // ---- candidate evaluators ------------------------------------------
-    def reduceCand(pred: Option[Expr], m: Monoid, f: Expr,
+    def reduceCand(pred: Option[CExpr], m: Monoid, f: CExpr,
                    data: Map[String, Data]): Any = {
       var acc: Any = null
       for (x <- sampleElems(data)) {
@@ -86,7 +86,7 @@ object CasperSim {
       }
       acc
     }
-    def groupCand(key: Expr, m: Monoid, f: Expr,
+    def groupCand(key: CExpr, m: Monoid, f: CExpr,
                   data: Map[String, Data]): Map[List[Any], Any] = {
       val out = scala.collection.mutable.HashMap.empty[List[Any], Any]
       for (x <- sampleElems(data)) {
@@ -288,41 +288,25 @@ object CasperSim {
     out.toList.filter(closed).distinct
   }
 
-  /** Evaluate a fragment on one collection element. */
-  private def evalFrag(e: Expr, x: Any, scalars: Map[String, Any]): Any = e match {
-    case Ref(ElemVar)   => x
-    case Ref(n)         => scalars(n)
-    case IntLit(v)      => v
-    case DoubleLit(v)   => v
-    case BoolLit(v)     => v
-    case StringLit(v)   => v
-    case FieldAcc(b, f) => evalFrag(b, x, scalars).asInstanceOf[Rec](f)
-    case UnOp("-", b)   => LocalBackend.arith("-", 0L, evalFrag(b, x, scalars))
-    case UnOp("!", b)   => !evalFrag(b, x, scalars).asInstanceOf[Boolean]
-    case BinOp(op, l, r) =>
-      val a = evalFrag(l, x, scalars)
-      op match {
-        case "&&" => a.asInstanceOf[Boolean] && evalFrag(r, x, scalars).asInstanceOf[Boolean]
-        case "||" => a.asInstanceOf[Boolean] || evalFrag(r, x, scalars).asInstanceOf[Boolean]
-        case _ =>
-          val b = evalFrag(r, x, scalars)
-          op match {
-            case "+" | "-" | "*" | "/" | "%" => LocalBackend.arith(op, a, b)
-            case "==" => LocalBackend.equalAny(a, b)
-            case "!=" => !LocalBackend.equalAny(a, b)
-            case "<"  => LocalBackend.compareAny(a, b) < 0
-            case "<=" => LocalBackend.compareAny(a, b) <= 0
-            case ">"  => LocalBackend.compareAny(a, b) > 0
-            case ">=" => LocalBackend.compareAny(a, b) >= 0
-          }
-      }
-    case CallE("sqrt", List(a)) => math.sqrt(asD(evalFrag(a, x, scalars)))
-    case other => throw new IllegalArgumentException(s"fragment cannot evaluate: $other")
+  /** A closed fragment as a comprehension expression over the element
+    * variable and the input scalars.
+    */
+  private def toCExpr(e: Expr): CExpr = e match {
+    case Ref(ElemVar)   => CVar(ElemVar)
+    case Ref(n)         => CState(n)
+    case IntLit(v)      => CLit(v)
+    case DoubleLit(v)   => CLit(v)
+    case BoolLit(v)     => CLit(v)
+    case StringLit(v)   => CLit(v)
+    case FieldAcc(b, f) => CField(toCExpr(b), f)
+    case UnOp(op, b)    => CUn(op, toCExpr(b))
+    case BinOp(op, l, r) => CBin(op, toCExpr(l), toCExpr(r))
+    case TupleE(es)     => CTup(es.map(toCExpr))
+    case CallE(f, as)   => CCall(f, as.map(toCExpr))
+    case Index(_, _)    => throw new IllegalArgumentException(s"not a closed fragment: $e")
   }
 
-  private def asD(a: Any): Double = a match {
-    case d: Double => d
-    case l: Long   => l.toDouble
-    case other     => throw new IllegalArgumentException(s"not numeric: $other")
-  }
+  /** Evaluate a fragment on one collection element. */
+  private def evalFrag(e: CExpr, x: Any, scalars: Map[String, Any]): Any =
+    LocalBackend.evalExpr(e, Map(ElemVar -> x), scalars)
 }

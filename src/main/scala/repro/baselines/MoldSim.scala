@@ -65,7 +65,7 @@ object MoldSim {
       s match {
         case _: Decl => out += replaced(Nil, "decl")
         case Assign(LVar(_), _) => out += replaced(Nil, "driver-assign")
-        case Assign(LIndex(_, _), _) if !insideLoop(s) => out += replaced(Nil, "point-update")
+        case Assign(LIndex(_, _), _) => out += replaced(Nil, "point-update")
         case loop @ (_: ForRange | _: ForIn) =>
           for (op <- templates(loop)) out += replaced(Nil, op)
           // structural rewrite: split a multi-statement top-level loop body
@@ -76,8 +76,6 @@ object MoldSim {
     }
     out.result()
   }
-
-  private def insideLoop(s: Stmt): Boolean = false // top-level statements only
 
   /** Loop-body splitting, only at the *top* level of the loop body. */
   private def splitTopLevel(loop: Stmt): Option[List[Stmt]] = loop match {
@@ -91,50 +89,43 @@ object MoldSim {
   /** Templates that convert a whole loop into one algebraic operator. */
   private def templates(loop: Stmt): List[String] = loop match {
     // fold: for v in V do [if (p)] acc ⊕= f(v), f reads no arrays
-    case ForIn(v, coll, body) => flatBody(body) match {
-      case Some(IncrAssign(LVar(_), op, e)) if zippable(e, Set(v)) =>
+    case ForIn(_, coll, body) => flatBody(body) match {
+      case Some(IncrAssign(LVar(_), op, e)) if zippable(e) =>
         List(s"fold[$op]($coll)")
-      case Some(IncrAssign(LIndex(_, key), op, e))
-          if key.forall(zippable(_, Set(v))) && zippable(e, Set(v)) =>
+      case Some(IncrAssign(LIndex(_, key), op, e)) if key.forall(zippable) && zippable(e) =>
         List(s"groupBy($coll).fold[$op]")
       case _ => Nil
     }
-    case ForRange(v, _, _, body) => rangeTemplates(v, body)
+    case ForRange(_, _, _, body) => rangeTemplates(body)
     case _ => Nil
   }
 
-  private def rangeTemplates(v: String, body: Stmt): List[String] = body match {
+  private def rangeTemplates(body: Stmt): List[String] = body match {
     // matrix multiply: for i { for j { R:=0; for k R += M[i,k]*N[k,j] } }
-    case ForRange(j, _, _, inner) => flatten(inner) match {
+    case ForRange(_, _, _, inner) => flatten(inner) match {
       case List(Assign(LIndex(r1, _), _),
                 ForRange(_, _, _, IncrAssign(LIndex(r2, _), "+",
                   BinOp("*", Index(_, _), Index(_, _))))) if r1 == r2 =>
         List("join-reduce(matmul)")
-      case List(single) => rangeTemplates2(Set(v, j), single)
+      case List(single) => rangeTemplates2(single)
       case _ => Nil
     }
-    case single => rangeTemplates2(Set(v), single)
+    case single => rangeTemplates2(single)
   }
 
   /** map / groupBy / argmin-reduce over range loops: all array reads must be
     * subscripted directly by loop variables (zippable).
     */
-  private def rangeTemplates2(loopVars: Set[String], s: Stmt): List[String] = s match {
-    case Assign(LIndex(a, keys), e)
-        if keys.forall(zippable(_, loopVars)) && zippable(e, loopVars) =>
+  private def rangeTemplates2(s: Stmt): List[String] = s match {
+    case Assign(LIndex(a, keys), e) if keys.forall(zippable) && zippable(e) =>
       List(s"map($a)")
-    case IncrAssign(LIndex(a, keys), op, e)
-        if keys.forall(zippable(_, loopVars)) && zippable(e, loopVars) =>
+    case IncrAssign(LIndex(a, keys), op, e) if keys.forall(zippable) && zippable(e) =>
       List(s"groupBy($a).fold[$op]")
-    case IncrAssign(LVar(_), op, e) if zippable(e, loopVars) =>
+    case IncrAssign(LVar(_), op, e) if zippable(e) =>
       List(s"fold[$op]")
-    case ForRange(k, lo, hi, inner) =>
-      rangeTemplates2(loopVars + k, inner) match {
-        case Nil => Nil
-        case ops => ops.map(o => s"nest($o)")
-      }
-    case If(c, t, None) if zippable(c, loopVars) =>
-      rangeTemplates2(loopVars, t).map(o => s"filter.$o")
+    case ForRange(_, _, _, inner) => rangeTemplates2(inner).map(o => s"nest($o)")
+    case If(c, t, None) if zippable(c) =>
+      rangeTemplates2(t).map(o => s"filter.$o")
     case _ => Nil
   }
 
@@ -149,14 +140,14 @@ object MoldSim {
     * (zippable reads). A computed subscript such as `P[e.src]` or
     * `V[W[i]]` requires a join and has no MOLD template.
     */
-  private def zippable(e: Expr, loopVars: Set[String]): Boolean = e match {
+  private def zippable(e: Expr): Boolean = e match {
     case Index(_, idx) =>
       idx.forall { case Ref(_) => true; case _ => false }
-    case FieldAcc(b, _)   => zippable(b, loopVars)
-    case BinOp(_, l, r)   => zippable(l, loopVars) && zippable(r, loopVars)
-    case UnOp(_, b)       => zippable(b, loopVars)
-    case TupleE(es)       => es.forall(zippable(_, loopVars))
-    case CallE(_, as)     => as.forall(zippable(_, loopVars))
+    case FieldAcc(b, _)   => zippable(b)
+    case BinOp(_, l, r)   => zippable(l) && zippable(r)
+    case UnOp(_, b)       => zippable(b)
+    case TupleE(es)       => es.forall(zippable)
+    case CallE(_, as)     => as.forall(zippable)
     case _                => true
   }
 }

@@ -2,16 +2,15 @@ package repro.local
 
 import repro.core.Comprehension._
 import repro.core.Translate._
-import repro.local.LocalBackend.{Env, evalExpr}
 
 /** The statement loop of DIABLO target code (§3.8), shared by both
   * backends: array assignments `V := V ◁ comprehension`, scalar
   * assignments and sequential while-loops over a state of values `V`.
   *
   * Generator-free scalar comprehensions (while conditions, scalar
-  * assignments) are evaluated here, on the driver. A backend supplies its
-  * value representation and two evaluators: the first value of a
-  * comprehension, and the merge `old ◁ comprehension`.
+  * assignments) are evaluated on the driver, by the local evaluator. A
+  * backend supplies its value representation and two evaluators: the
+  * first value of a comprehension, and the merge `old ◁ comprehension`.
   */
 abstract class Executor[V] {
   type State = collection.Map[String, V]
@@ -29,9 +28,12 @@ abstract class Executor[V] {
     val state = collection.mutable.Map.empty[String, V] ++ init
     def scalarOf(n: String): Any = scalarValue.applyOrElse(state(n), (_: V) =>
       throw new IllegalArgumentException(s"$n is not a scalar"))
-    def value(c: Comp): Option[Any] =
-      if (c.quals.exists(_.isInstanceOf[Gen])) first(c, state)
-      else evalDriverComp(c, scalarOf)
+    // a scalar's value is its whole head, also when that is a tuple
+    def value(c: Comp): Option[Any] = {
+      val whole = Comp(CTup(List(c.head)), c.quals)
+      if (c.quals.exists(_.isInstanceOf[Gen])) first(whole, state)
+      else LocalBackend.driverValue(whole, scalarOf)
+    }
 
     def exec(ts: List[TStmt]): Unit = ts.foreach {
       case TInit(n, ka) => state(n) = emptyArray(ka)
@@ -44,21 +46,5 @@ abstract class Executor[V] {
     }
     exec(prog)
     state.toMap
-  }
-
-  /** Driver path for a generator-free comprehension: None when a condition
-    * fails.
-    */
-  private def evalDriverComp(c: Comp, scalar: String => Any): Option[Any] = {
-    var env: Env = Map.empty
-    for (q <- c.quals) q match {
-      case QLet(PVar(v), e) => env += v -> evalExpr(e, env, scalar)
-      case QPred(e) =>
-        if (!evalExpr(e, env, scalar).asInstanceOf[Boolean]) return None
-      case QGroup(Nil, Nil) => () // single group: CReduce is identity
-      case other =>
-        throw new IllegalArgumentException(s"not driver-evaluable: ${show(other)}")
-    }
-    Some(evalExpr(c.head, env, scalar))
   }
 }

@@ -1,6 +1,8 @@
 package repro.local
 
 import repro.core.Comprehension._
+import repro.core.Plan
+import repro.core.Plan._
 import repro.core.Translate._
 import scala.collection.parallel.CollectionConverters._
 
@@ -151,223 +153,144 @@ object LocalBackend {
       throw new IllegalArgumentException(s"not a scalar expression: ${show(e)}")
   }
 
-  // --------------------------------------------------- comprehension plan
-
-  /** Planned qualifier ops: array scans carry the equality predicates that
-    * determine (some of) their index positions, enabling hash lookups.
-    */
-  private sealed trait Op
-  private final case class OpRange(v: String, lo: CExpr, hi: CExpr) extends Op
-  private final case class OpScan(idxVars: List[String], valVar: String,
-                                  arr: String, keyed: List[(Int, CExpr)]) extends Op
-  private final case class OpLet(v: String, e: CExpr) extends Op
-  private final case class OpPred(e: CExpr) extends Op
-  private final case class OpLookup(v: String, arr: String, keyVars: List[String],
-                                    default: Default) extends Op
-
-  private def plan(quals: List[Qual]): List[Op] = {
-    val consumed = scala.collection.mutable.Set.empty[Int]
-    var bound = Set.empty[String]
-    val out = List.newBuilder[Op]
-    for ((q, qi) <- quals.zipWithIndex if !consumed(qi)) q match {
-      case Gen(PVar(v), CRange(lo, hi)) =>
-        out += OpRange(v, lo, hi); bound += v
-      case Gen(p: PTup, CArr(a)) =>
-        val vars = p.vars
-        val (idxVars, valVar) = (vars.dropRight(1), vars.last)
-        val keyed = List.newBuilder[(Int, CExpr)]
-        val keyedPos = scala.collection.mutable.Set.empty[Int]
-        for ((r, ri) <- quals.zipWithIndex.drop(qi + 1) if !consumed(ri)) r match {
-          case QPred(CBin("==", l, r2)) =>
-            def tryKey(x: CExpr, e: CExpr): Boolean = x match {
-              case CVar(n) if idxVars.contains(n) && freeVars(e).subsetOf(bound) =>
-                val pos = idxVars.indexOf(n)
-                if (!keyedPos(pos)) { keyedPos += pos; keyed += pos -> e; consumed += ri; true }
-                else false
-              case _ => false
-            }
-            if (!tryKey(l, r2)) tryKey(r2, l)
-            ()
-          case _ => ()
-        }
-        out += OpScan(idxVars, valVar, a, keyed.result())
-        bound ++= vars
-      case Gen(p, src) =>
-        throw new IllegalArgumentException(s"bad generator ${show(Gen(p, src))}")
-      case QLet(PVar(v), e)  => out += OpLet(v, e); bound += v
-      case QLet(p, _) =>
-        throw new IllegalArgumentException(s"unsupported let pattern ${show(p)}")
-      case QPred(e)          => out += OpPred(e)
-      case QLookup(v, a, ks, d) => out += OpLookup(v, a, ks, d); bound += v
-      case _: QGroup =>
-        throw new IllegalArgumentException("group-by must be split before planning")
-    }
-    out.result()
-  }
-
   // --------------------------------------------------- comprehension eval
 
-  private final class Evaluator(state: collection.Map[String, Data], par: Boolean) {
-    private def scalar(n: String): Any = state(n) match {
-      case ScalarD(v) => v
-      case _ => throw new IllegalArgumentException(s"$n is not a scalar")
-    }
-    private def array(n: String): ArrayD = state(n) match {
-      case a: ArrayD => a
-      case _ => throw new IllegalArgumentException(s"$n is not an array")
-    }
+  /** Evaluates comprehensions by walking their `Plan`. A scan whose carried
+    * conditions fix index positions (its keys) becomes a hash lookup, on the
+    * array itself or on a partial-key index.
+    */
+  private final class Evaluator(scalar: String => Any, array: String => ArrayD,
+                                par: Boolean) {
     private def ev(e: CExpr, env: Env): Any = evalExpr(e, env, scalar)
+
+    @annotation.tailrec
+    private def holds(conds: List[CExpr], env: Env): Boolean = conds match {
+      case Nil    => true
+      case c :: r => ev(c, env).asInstanceOf[Boolean] && holds(r, env)
+    }
 
     // partial-key indexes, built once per comprehension evaluation
     private val indexes =
       scala.collection.mutable.Map.empty[(String, List[Int]), Map[List[Any], Seq[(List[Any], Any)]]]
     private def indexOf(arr: String, pos: List[Int]): Map[List[Any], Seq[(List[Any], Any)]] =
       indexes.getOrElseUpdate((arr, pos),
-        array(arr).m.toSeq.map { case (k, v) => (k, v) }.groupBy { case (k, _) => pos.map(k) })
+        array(arr).m.toSeq.groupBy { case (k, _) => pos.map(k) })
 
-    /** Stream of environments produced by a (group-free) op list. */
-    private def envStream(ops: List[Op], env: Env): Iterator[Env] = ops match {
+    /** The environments of `rest` from `env`, none unless `conds` hold. */
+    private def guarded(conds: List[CExpr], env: Env, rest: List[Step]): Iterator[Env] =
+      if (holds(conds, env)) envs(rest, env) else Iterator.empty
+
+    private def rangeEnvs(r: RangeGen, l: Long, h: Long, env: Env, rest: List[Step])
+        : Iterator[Env] =
+      (l to h).iterator.flatMap(i => guarded(r.conds, env + (r.v -> i), rest))
+
+    private def scanEnvs(s: Scan, entries: Iterator[(List[Any], Any)], env: Env,
+                         rest: List[Step]): Iterator[Env] =
+      entries.flatMap { case (k, v) =>
+        guarded(s.filters, env ++ s.idxVars.zip(k) + (s.valVar -> v), rest) }
+
+    /** Stream of environments produced by a (group-free) step list. */
+    private def envs(steps: List[Step], env: Env): Iterator[Env] = steps match {
       case Nil => Iterator.single(env)
-      case op :: rest => op match {
-        case OpRange(v, lo, hi) =>
-          val l = toLong(ev(lo, env)); val h = toLong(ev(hi, env))
-          (l to h).iterator.flatMap(i => envStream(rest, env + (v -> i)))
-        case OpScan(idxVars, valVar, arr, keyed) =>
-          val a = array(arr)
+      case step :: rest => step match {
+        case r: RangeGen =>
+          rangeEnvs(r, toLong(ev(r.lo, env)), toLong(ev(r.hi, env)), env, rest)
+        case s: Scan =>
+          val a = array(s.arr)
           val entries: Iterator[(List[Any], Any)] =
-            if (keyed.size == a.keyArity) {
-              val key = keyed.sortBy(_._1).map { case (_, e) => ev(e, env) }
-              a.m.get(key).iterator.map(v => (key, v))
-            } else if (keyed.nonEmpty) {
-              val pos = keyed.map(_._1).sorted
-              val partial = keyed.sortBy(_._1).map { case (_, e) => ev(e, env) }
-              indexOf(arr, pos).getOrElse(partial, Seq.empty).iterator
-            } else a.m.iterator
-          entries.flatMap { case (k, v) =>
-            envStream(rest, env ++ idxVars.zip(k) + (valVar -> v))
-          }
-        case OpLet(v, e)  => envStream(rest, env + (v -> ev(e, env)))
-        case OpPred(e)    =>
-          if (ev(e, env).asInstanceOf[Boolean]) envStream(rest, env) else Iterator.empty
-        case OpLookup(v, arr, keyVars, default) =>
+            if (s.keys.isEmpty) a.m.iterator
+            else {
+              val key = s.keyExprs.map(ev(_, env))
+              if (s.keys.size == a.keyArity) a.m.get(key).iterator.map(v => (key, v))
+              else indexOf(s.arr, s.keyPos).getOrElse(key, Seq.empty).iterator
+            }
+          scanEnvs(s, entries, env, rest)
+        case Let(v, e) => envs(rest, env + (v -> ev(e, env)))
+        case Cond(e)   =>
+          if (ev(e, env).asInstanceOf[Boolean]) envs(rest, env) else Iterator.empty
+        case Lookup(v, arr, keyVars, default) =>
           val value = array(arr).m.getOrElse(keyVars.map(env), defaultValue(default))
-          envStream(rest, env + (v -> value))
+          envs(rest, env + (v -> value))
       }
     }
 
-    /** Split the leading generator into chunks for the parallel mode.
-      * Chunks are thunks producing environment streams, so environment
-      * construction itself happens inside the parallel workers.
+    /** The environment streams of `steps` as thunks. In parallel mode the
+      * leading generator is split into one chunk per core, so environment
+      * construction itself happens inside the workers; sequential mode is
+      * the one-chunk case.
       */
-    private def leadingChunks(ops: List[Op])
-        : Option[(Seq[() => Iterator[Env]], List[Op])] = ops match {
-      case OpRange(v, lo, hi) :: rest =>
-        val l = toLong(ev(lo, Map.empty)); val h = toLong(ev(hi, Map.empty))
-        if (h < l) Some((Seq(() => Iterator.empty), rest))
-        else {
-          val step = math.max(1L, (h - l + 1) / numChunks)
-          val thunks = (l to h by step).map { s =>
-            val e = math.min(h, s + step - 1)
-            () => (s to e).iterator.map(i => Map[String, Any](v -> i))
-          }
-          Some((thunks, rest))
+    private def chunks(steps: List[Step]): Seq[() => Iterator[Env]] = steps match {
+      case (r: RangeGen) :: rest if par =>
+        val l = toLong(ev(r.lo, Map.empty)); val h = toLong(ev(r.hi, Map.empty))
+        val step = math.max(1L, (h - l + 1) / numChunks)
+        (l to h by step).map { s =>
+          () => rangeEnvs(r, s, math.min(h, s + step - 1), Map.empty, rest)
         }
-      case OpScan(idxVars, valVar, arr, Nil) :: rest =>
-        val items = array(arr).m.toArray
-        val n = math.max(1, items.length / numChunks)
-        val thunks = items.grouped(n).map { ch =>
-          () => ch.iterator.map { case (k, v) =>
-            (idxVars.zip(k) :+ (valVar -> v)).toMap }
+      case (s: Scan) :: rest if par && s.keys.isEmpty =>
+        val items = array(s.arr).m.toArray
+        items.grouped(math.max(1, items.length / numChunks)).map { ch =>
+          () => scanEnvs(s, ch.iterator, Map.empty, rest)
         }.toSeq
-        Some((thunks, rest))
-      case _ => None
+      case _ => Seq(() => envs(steps, Map.empty))
     }
 
     private def numChunks: Int = Runtime.getRuntime.availableProcessors
 
-    private var counter = 0
-    private def fresh(): String = { counter += 1; s"_r$counter" }
+    /** `f` applied to every chunk of `steps`, in parallel in parallel mode. */
+    private def perChunk[A](steps: List[Step])(f: Iterator[Env] => A): Seq[A] = {
+      val cs = chunks(steps)
+      if (par) cs.par.map(ch => f(ch())).seq else cs.map(ch => f(ch()))
+    }
 
     /** Evaluate a comprehension to its rows (flattened head columns). */
-    def rows(c: Comp): Seq[List[Any]] = splitAtGroup(c.quals) match {
-      case None =>
-        val ops  = plan(c.quals)
-        val cols = headColumns(c.head)
-        def emit(envs: Iterator[Env]): Vector[List[Any]] =
-          envs.map(env => cols.map(ev(_, env))).toVector
-        if (par) leadingChunks(ops) match {
-          case Some((chunks, rest)) =>
-            chunks.par.map(ch => emit(ch().flatMap(envStream(rest, _))))
-              .reduceOption(_ ++ _).getOrElse(Vector.empty)
-          case None => emit(envStream(ops, Map.empty))
-        } else emit(envStream(ops, Map.empty))
-
-      case Some((pre, QGroup(kvars, keys), post)) =>
-        // extract reductions from the head and the post-group qualifiers
-        val (head2, redsH) = extractReduces(c.head, () => fresh())
-        val postExprs = post.collect { case QPred(e) => e; case QLet(_, e) => e }
-        require(postExprs.forall(e => !containsReduce(e)),
-          "reductions in post-group qualifiers are not generated")
-        val reds = redsH
-        val preOps  = plan(pre)
-        val postOps = plan(post)
-
-        type Acc = Array[Any]
-        def accumulate(envs: Iterator[Env]): collection.mutable.HashMap[List[Any], Acc] = {
-          val m = collection.mutable.HashMap.empty[List[Any], Acc]
-          for (env <- envs) {
-            val key = keys.map(ev(_, env))
-            val args = reds.map { case (_, mo, arg) => (mo, ev(arg, env)) }
-            m.get(key) match {
-              case Some(acc) =>
-                var i = 0
-                while (i < acc.length) {
-                  acc(i) = combine(args(i)._1, acc(i), args(i)._2); i += 1
-                }
-              case None => m(key) = args.map(_._2).toArray
-            }
-          }
-          m
-        }
-        def mergeMaps(a: collection.mutable.HashMap[List[Any], Acc],
-                      b: collection.mutable.HashMap[List[Any], Acc]) = {
-          for ((k, acc) <- b) a.get(k) match {
-            case Some(acc0) =>
+    def rows(c: Comp): Seq[List[Any]] = {
+      val p = Plan.plan(c)
+      def emit(env: Env): List[Any] = p.head.map(ev(_, env))
+      p.group match {
+        case None =>
+          perChunk(p.pre)(_.map(emit).toVector).reduceOption(_ ++ _).getOrElse(Vector.empty)
+        case Some(Group(kvars, keys, reds)) =>
+          type Groups = collection.mutable.HashMap[List[Any], Array[Any]]
+          val monoids = reds.map(_._2).toArray
+          val args = reds.map(_._3).toArray
+          // folds the reduction values value(i) into the group of key
+          def add(m: Groups, key: List[Any], value: Int => Any): Unit = m.get(key) match {
+            case Some(acc) =>
               var i = 0
-              while (i < acc0.length) {
-                acc0(i) = combine(reds(i)._2, acc0(i), acc(i)); i += 1
-              }
-            case None => a(k) = acc
+              while (i < acc.length) { acc(i) = combine(monoids(i), acc(i), value(i)); i += 1 }
+            case None => m(key) = Array.tabulate(args.length)(value)
           }
-          a
-        }
-        val grouped =
-          if (par) leadingChunks(preOps) match {
-            case Some((chunks, rest)) =>
-              chunks.par.map(ch => accumulate(ch().flatMap(envStream(rest, _))))
-                .reduceOption(mergeMaps).getOrElse(collection.mutable.HashMap.empty)
-            case None => accumulate(envStream(preOps, Map.empty))
-          } else accumulate(envStream(preOps, Map.empty))
-
-        val cols = headColumns(head2)
-        grouped.iterator.flatMap { case (key, acc) =>
-          val env0: Env = kvars.zip(key).toMap ++ reds.map(_._1).zip(acc)
-          envStream(postOps, env0).map(env => cols.map(ev(_, env)))
-        }.toVector
+          def accumulate(envs: Iterator[Env]): Groups = {
+            val m: Groups = collection.mutable.HashMap.empty
+            for (env <- envs) add(m, keys.map(ev(_, env)), i => ev(args(i), env))
+            m
+          }
+          def mergeMaps(a: Groups, b: Groups): Groups = { for ((k, vs) <- b) add(a, k, vs(_)); a }
+          val grouped = perChunk(p.pre)(accumulate).reduceOption(mergeMaps)
+            .getOrElse(collection.mutable.HashMap.empty)
+          grouped.iterator.flatMap { case (key, acc) =>
+            val env0: Env = kvars.zip(key).toMap ++ reds.map(_._1).zip(acc)
+            envs(p.post, env0).map(emit)
+          }.toVector
+      }
     }
   }
 
-  private def containsReduce(e: CExpr): Boolean = e match {
-    case CReduce(_, _) => true
-    case _             => children(e).exists(containsReduce)
-  }
-
-  private def toLong(a: Any): Long = a match {
+  /** An integer value (a range bound) as a Long; doubles are truncated. */
+  def toLong(a: Any): Long = a match {
     case l: Long => l
     case i: Int  => i.toLong
     case d: Double => d.toLong
     case other => throw new IllegalArgumentException(s"not an integer: $other")
   }
+
+  /** First column of the first row of a generator-free comprehension, which
+    * reads no array, evaluated on the driver; None when it is empty.
+    */
+  def driverValue(c: Comp, scalar: String => Any): Option[Any] =
+    new Evaluator(scalar,
+      a => throw new IllegalArgumentException(s"array $a read on the driver"),
+      par = false).rows(c).headOption.map(_.head)
 
   // ------------------------------------------------------------ execution
 
@@ -377,14 +300,23 @@ object LocalBackend {
     protected def scalar(v: Any) = ScalarD(v)
     protected val scalarValue: PartialFunction[Data, Any] = { case ScalarD(v) => v }
     protected def emptyArray(ka: Int) = ArrayD(Map.empty, ka)
+    private def evaluator(state: State) = new Evaluator(
+      n => state(n) match {
+        case ScalarD(v) => v
+        case _ => throw new IllegalArgumentException(s"$n is not a scalar")
+      },
+      n => state(n) match {
+        case a: ArrayD => a
+        case _ => throw new IllegalArgumentException(s"$n is not an array")
+      }, par)
     protected def first(c: Comp, state: State) =
-      new Evaluator(state, par).rows(c).headOption.map(_.head)
+      evaluator(state).rows(c).headOption.map(_.head)
     protected def merge(old: Data, c: Comp, ka: Int, state: State) = {
       val entries = old match {
         case ArrayD(m, _) => m
         case _            => Map.empty[List[Any], Any]
       }
-      val rows = new Evaluator(state, par).rows(c)
+      val rows = evaluator(state).rows(c)
       ArrayD(entries ++ rows.iterator.map(r => (r.take(ka), r.last)), ka)
     }
   }.run(prog, init)

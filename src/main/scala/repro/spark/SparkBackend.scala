@@ -4,17 +4,21 @@ import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.core.Comprehension._
+import repro.core.Plan
+import repro.core.Plan._
 import repro.core.Translate._
 import repro.local.{Executor, LocalBackend}
 import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
 
-/** Spark backend: compiles DIABLO target code to DataFrame (Catalyst)
-  * operations.
+/** Spark backend: compiles the `Plan` of DIABLO target code to DataFrame
+  * (Catalyst) operations.
   *
   *  - an array is a DataFrame with columns `k1..kn, v` (`v` may be a struct);
-  *  - a generator becomes a scan; equality conditions linking a new
-  *    generator to bound variables become equi-join conditions (a cross
-  *    join when none exist — e.g. KMeans' points × centroids);
+  *  - a generator becomes a scan; the conditions it carries filter it when
+  *    they mention only its own variables and otherwise are the join
+  *    condition (a cross join when there are none — e.g. KMeans' points ×
+  *    centroids); a range whose bounds depend on earlier bindings is
+  *    exploded per binding;
   *  - a group-by becomes `groupBy(keys).agg(...)` with one aggregate per
   *    extracted reduction (an empty key gives a global aggregate — the
   *    backend form of rule 16);
@@ -180,52 +184,30 @@ object SparkBackend {
       case DNull  => lit(null)
     }
 
-    private def driverLong(e: CExpr): Long = {
-      require(freeVars(e).isEmpty, s"range bound depends on loop variables: ${show(e)}")
-      LocalBackend.evalExpr(e, Map.empty, scalarVal) match {
-        case l: Long => l
-        case d: Double => d.toLong
-        case other => throw new IllegalArgumentException(s"not an integer bound: $other")
-      }
-    }
+    private def driverLong(e: CExpr): Long =
+      LocalBackend.toLong(LocalBackend.evalExpr(e, Map.empty, scalarVal))
 
     /** Compile a comprehension to a DataFrame of its flattened head columns
       * (named c1..cm). None when the result is statically empty (a generator
       * over a still-uninitialized array).
       */
     def compile(c: Comp): Option[DataFrame] = {
+      val p = Plan.plan(c)
+      if ((p.pre ++ p.post).exists { case s: Scan => arr(s.arr).df.isEmpty; case _ => false })
+        return None
       var cur: Option[DataFrame] = None
       var env = Map.empty[String, String]
-      var head = c.head
-      val quals = c.quals
-      val consumed = scala.collection.mutable.Set.empty[Int]
+      def base: DataFrame = cur.getOrElse(spark.range(1).drop("id"))
+      def bind(v: String): String = { val name = fresh(); env += v -> name; name }
 
-      def unitDF: DataFrame = spark.range(1).drop("id")
-
-      /** After binding `newVars` by a generator DataFrame `df` (whose
-        * columns are already in `env`), consume the applicable predicates:
-        * new-var-only predicates filter `df`; mixed-variable predicates
-        * become equi-join conditions. Scanning stops at the group-by.
+      /** Join the DataFrame `df0` of generator `g`, whose columns are bound
+        * in `env`: carried conditions on its own variables filter `df0`, the
+        * others are the join condition (a cross join when there are none).
         */
-      def joinIn(df0: DataFrame, newVars: Set[String], from: Int): Unit = {
-        var df = df0
-        val joinConds = List.newBuilder[Column]
-        val allBound = env.keySet
-        var qi = from
-        var stop = false
-        while (qi < quals.length && !stop) {
-          quals(qi) match {
-            case _: QGroup => stop = true
-            case QPred(e) if !consumed(qi) && freeVars(e).subsetOf(allBound) &&
-                freeVars(e).intersect(newVars).nonEmpty =>
-              consumed += qi
-              if (freeVars(e).subsetOf(newVars)) df = df.filter(col_(e, env))
-              else joinConds += col_(e, env)
-            case _ => ()
-          }
-          qi += 1
-        }
-        val conds = joinConds.result()
+      def joinIn(g: Generator, df0: DataFrame): Unit = {
+        val (own, links) = g.conds.partition(e => freeVars(e).subsetOf(g.vars.toSet))
+        val df = own.foldLeft(df0)((d, e) => d.filter(col_(e, env)))
+        val conds = links.map(col_(_, env))
         cur = cur match {
           case None    => Some(conds.foldLeft(df)((d, c) => d.filter(c)))
           case Some(l) =>
@@ -234,91 +216,57 @@ object SparkBackend {
         }
       }
 
-      var qi = 0
-      while (qi < quals.length) {
-        if (!consumed(qi)) quals(qi) match {
-          case Gen(PVar(v), CRange(lo, hi)) =>
-            val name = fresh()
-            val df = spark.range(driverLong(lo), driverLong(hi) + 1).toDF(name)
-            env += v -> name
-            joinIn(df, Set(v), qi + 1)
-
-          case Gen(p: PTup, CArr(a)) =>
-            val sa = arr(a)
-            sa.df match {
-              case None => return None // generator over an empty array
-              case Some(adf) =>
-                val vars = p.vars
-                val names = vars.map(_ => fresh())
-                val df = adf.toDF(names: _*)
-                env ++= vars.zip(names)
-                joinIn(df, vars.toSet, qi + 1)
-            }
-
-          case Gen(p, src) =>
-            throw new IllegalArgumentException(s"bad generator ${show(Gen(p, src))}")
-
-          case QLet(PVar(v), e) =>
-            val name = fresh()
-            val base = cur.getOrElse(unitDF)
-            cur = Some(base.withColumn(name, col_(e, env)))
-            env += v -> name
-
-          case QLet(p, _) =>
-            throw new IllegalArgumentException(s"unsupported let pattern ${show(p)}")
-
-          case QPred(e) =>
-            cur = Some(cur.getOrElse(unitDF).filter(col_(e, env)))
-
-          case QGroup(kvars, keys) =>
-            val (head2, reds) = extractReduces(head, () => fresh())
-            head = head2
-            var base = cur.getOrElse(unitDF)
-            // pre-group columns: group keys and reduction arguments
-            val keyNames = keys.map { k =>
-              val nm = fresh(); base = base.withColumn(nm, col_(k, env)); nm
-            }
-            val redArgs = reds.map { case (rv, m, argE) =>
-              val argN = fresh(); base = base.withColumn(argN, col_(argE, env))
-              (rv, m, argN, fresh())
-            }
-            val aggs = redArgs.map { case (_, m, argN, outN) =>
-              aggOf(m, col(argN)).as(outN) }
-            val grouped =
-              if (keyNames.isEmpty) base.agg(aggs.head, aggs.tail: _*)
-              else base.groupBy(keyNames.map(col): _*).agg(aggs.head, aggs.tail: _*)
-            cur = Some(grouped)
-            env = kvars.zip(keyNames).toMap ++
-              redArgs.map { case (rv, _, _, outN) => rv -> outN }
-
-          case QLookup(w, a, keyVars, default) =>
-            val name = fresh()
-            val base = cur.getOrElse(unitDF)
-            arr(a).df match {
-              case None =>
-                cur = Some(base.withColumn(name, defaultCol(default)))
-              case Some(adf) =>
-                val ka = arr(a).keyArity
-                val rNames = (0 to ka).map(_ => fresh())
-                val rdf = adf.toDF(rNames: _*)
-                val cond = keyVars.zipWithIndex.map { case (kv, i) =>
-                  col(env(kv)) === col(rNames(i)) }.reduce(_ && _)
-                val joined = base.join(rdf, cond, "left_outer")
-                val vCol = col(rNames.last)
-                val wCol = default match {
-                  case DNull => vCol
-                  case d     => coalesce(vCol, defaultCol(d))
-                }
-                cur = Some(joined.withColumn(name, wCol))
-            }
-            env += w -> name
-        }
-        qi += 1
+      def step(s: Step): Unit = s match {
+        case r @ RangeGen(v, lo, hi, _) if freeVars(lo).isEmpty && freeVars(hi).isEmpty =>
+          joinIn(r, spark.range(driverLong(lo), driverLong(hi) + 1).toDF(bind(v)))
+        case RangeGen(v, lo, hi, conds) =>
+          // bounds depend on earlier bindings: each binding gets its own
+          // range, none when lo > hi
+          val (l, h) = (col_(lo, env).cast(LongType), col_(hi, env).cast(LongType))
+          val ranged = base.withColumn(bind(v), explode(when(l <= h, sequence(l, h))))
+          cur = Some(conds.foldLeft(ranged)((d, e) => d.filter(col_(e, env))))
+        case g: Scan =>
+          joinIn(g, arr(g.arr).df.get.toDF(g.vars.map(bind): _*))
+        case Let(v, e) =>
+          val value = col_(e, env)
+          cur = Some(base.withColumn(bind(v), value))
+        case Cond(e) =>
+          cur = Some(base.filter(col_(e, env)))
+        case Lookup(w, a, keyVars, default) =>
+          val name = fresh()
+          cur = Some(arr(a).df match {
+            case None => base.withColumn(name, defaultCol(default))
+            case Some(adf) =>
+              val rNames = (0 to arr(a).keyArity).map(_ => fresh())
+              val cond = keyVars.zipWithIndex.map { case (kv, i) =>
+                col(env(kv)) === col(rNames(i)) }.reduce(_ && _)
+              val vCol = col(rNames.last)
+              val wCol = if (default == DNull) vCol else coalesce(vCol, defaultCol(default))
+              base.join(adf.toDF(rNames: _*), cond, "left_outer").withColumn(name, wCol)
+          })
+          env += w -> name
       }
 
-      val cols = headColumns(head).zipWithIndex.map { case (e, i) =>
-        col_(e, env).as(s"c${i + 1}") }
-      Some(cur.getOrElse(unitDF).select(cols: _*))
+      p.pre.foreach(step)
+      p.group.foreach { case Group(kvars, keys, reds) =>
+        var b = base
+        // pre-group columns: group keys and reduction arguments
+        val keyNames = keys.map { k =>
+          val nm = fresh(); b = b.withColumn(nm, col_(k, env)); nm
+        }
+        val redArgs = reds.map { case (rv, m, argE) =>
+          val argN = fresh(); b = b.withColumn(argN, col_(argE, env))
+          (rv, m, argN, fresh())
+        }
+        val aggs = redArgs.map { case (_, m, argN, outN) => aggOf(m, col(argN)).as(outN) }
+        cur = Some(
+          if (keyNames.isEmpty) b.agg(aggs.head, aggs.tail: _*)
+          else b.groupBy(keyNames.map(col): _*).agg(aggs.head, aggs.tail: _*))
+        env = kvars.zip(keyNames).toMap ++ redArgs.map { case (rv, _, _, outN) => rv -> outN }
+      }
+      p.post.foreach(step)
+      Some(base.select(p.head.zipWithIndex.map { case (e, i) =>
+        col_(e, env).as(s"c${i + 1}") }: _*))
     }
   }
 

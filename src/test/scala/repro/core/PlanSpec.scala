@@ -1,0 +1,95 @@
+package repro.core
+
+import repro.SparkSpec
+import repro.core.Comprehension._
+import repro.core.Plan._
+import repro.programs.Benchmarks
+import repro.spark.SparkTestUtil
+
+/** The comprehension plan shared by both backends: which generator carries
+  * which condition, which of them are scan keys, and where the group-by
+  * splits the steps.
+  */
+class PlanSpec extends SparkSpec {
+
+  private def scan(i: String, v: String, arr: String): Qual =
+    Gen(PTup(List(PVar(i), PVar(v))), CArr(arr))
+  private def eq(l: CExpr, r: CExpr): Qual = QPred(CBin("==", l, r))
+  private def scans(p: Plan): Map[String, Scan] =
+    p.pre.collect { case s: Scan => s.arr -> s }.toMap
+
+  test("PageRank's P[e.src] scan is keyed by e.src") {
+    val p = Benchmarks.byName("PageRank")
+    val out = Diablo.compile(p.source, p.sigs).collectFirst {
+      case Translate.TAssign("OUT", c, true) => Plan.plan(c)
+    }.get
+    val src = CField(CVar("e"), "src")
+    val s = scans(out)
+    assert(s("E").conds.isEmpty)
+    assert(s("P").keys == List(0 -> src) && s("P").filters.isEmpty)
+    assert(s("C").keys == List(0 -> src) && s("C").filters.isEmpty)
+    assert(out.group.map(_.kvars.length).contains(1))
+    assert(out.post.collect { case l: Lookup => l.arr } == List("OUT"))
+  }
+
+  test("conditions that are not a key of their scan stay its filters") {
+    // one key per index position: the second equality on i is a filter
+    val c = Comp(CVar("w"), List(scan("j", "e", "E"), scan("i", "w", "P"),
+      eq(CVar("i"), CVar("e")), QPred(CBin(">", CVar("w"), CLit(0L))),
+      eq(CVar("j"), CVar("i"))))
+    val p = scans(Plan.plan(c))("P")
+    assert(p.keys == List(0 -> CVar("e")))
+    assert(p.filters == List(CBin(">", CVar("w"), CLit(0L)), CBin("==", CVar("j"), CVar("i"))))
+    assert(p.conds.length == 3)
+  }
+
+  test("a condition on two generators is carried by the later one") {
+    val c = Comp(CTup(List(CVar("x"), CVar("y"))), List(scan("i", "x", "A"),
+      QPred(CBin(">", CVar("x"), CLit(1L))), scan("j", "y", "B"),
+      QPred(CBin("<", CVar("x"), CVar("y"))), QPred(CBin(">", CState("s"), CLit(0L)))))
+    val p = Plan.plan(c)
+    assert(p.pre.length == 3) // A, B and the state-only condition
+    val s = scans(p)
+    assert(s("A").conds == List(CBin(">", CVar("x"), CLit(1L))))
+    assert(s("B").conds == List(CBin("<", CVar("x"), CVar("y"))))
+    assert(s("B").keys.isEmpty)
+    assert(p.pre.last == Cond(CBin(">", CState("s"), CLit(0L))))
+  }
+
+  test("the group-by splits the steps and its reductions come from the head") {
+    val c = Comp(CTup(List(CVar("k"), CCombine(MSum, CVar("w"), CReduce(MSum, CVar("v"))))),
+      List(scan("i", "v", "A"), QGroup(List("k"), List(CVar("i"))),
+           QLookup("w", "C", List("k"), DZero)))
+    val p = Plan.plan(c)
+    assert(p.group == Some(Group(List("k"), List(CVar("i")), List(("_r1", MSum, CVar("v"))))))
+    assert(p.head == List(CVar("k"), CCombine(MSum, CVar("w"), CVar("_r1"))))
+    assert(p.post == List(Lookup("w", "C", List("k"), DZero)))
+  }
+
+  test("a reduction in a post-group qualifier is rejected") {
+    val c = Comp(CVar("k"), List(scan("i", "v", "A"),
+      QGroup(List("k"), List(CVar("i"))),
+      QPred(CBin(">", CReduce(MSum, CVar("v")), CLit(0L)))))
+    val e = intercept[IllegalArgumentException](Plan.plan(c))
+    assert(e.getMessage.contains("post-group"))
+  }
+
+  test("malformed generators and let patterns are rejected") {
+    assert(intercept[IllegalArgumentException](
+      Plan.plan(Comp(CVar("x"), List(Gen(PVar("x"), CArr("A")))))
+    ).getMessage.contains("bad generator"))
+    assert(intercept[IllegalArgumentException](
+      Plan.plan(Comp(CVar("x"), List(QLet(PTup(List(PVar("x"))), CLit(1L)))))
+    ).getMessage.contains("unsupported let pattern"))
+  }
+
+  test("local and Spark agree on unoptimized target code") {
+    val scales = Map("Matrix Addition" -> 4, "Matrix Multiplication" -> 3, "PCA" -> 8,
+      "Matrix Factorization" -> 4, "KMeans" -> 20, "PageRank" -> 10)
+    for (p <- Benchmarks.all) {
+      val code = Translate.translate(Parser.parse(p.source), p.sigs)
+      SparkTestUtil.assertAgree(spark, p.name, code, p.data(scales.getOrElse(p.name, 20), 7),
+        p.outputs)
+    }
+  }
+}

@@ -2,11 +2,10 @@ package repro.spark
 
 import repro.SparkSpec
 import repro.core.Diablo
-import repro.core.Translate.{ArraySig, Sig, TStmt}
+import repro.core.Translate.{ArraySig, ScalarSig, Sig, TStmt}
 import repro.local.LocalBackend
-import repro.local.LocalBackend.{ArrayD, Data, ScalarD}
+import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
 import repro.programs.Benchmarks
-import repro.spark.SparkBackend._
 
 /** End-to-end: every benchmark program, translated by DIABLO and executed
   * on the Spark DataFrame backend, must agree with the sequential local
@@ -14,33 +13,14 @@ import repro.spark.SparkBackend._
   */
 class SparkBackendSmokeSpec extends SparkSpec {
 
-  def assertSameValue(name: String, a: Any, b: Any): Unit = (a, b) match {
-    case (x: Double, y: Double) =>
-      assert(math.abs(x - y) <= 1e-6 * (1.0 + math.abs(x)), name)
-    case (x, y) => assert(x == y, name)
-  }
-
   def assertAgree(pName: String, scale: Int): Unit = {
     val p = Benchmarks.byName(pName)
     assertAgree(pName, Diablo.compile(p.source, p.sigs), p.data(scale, 42), p.outputs)
   }
 
   def assertAgree(label: String, code: List[TStmt], data: Map[String, Data],
-                  outputs: List[String]): Unit = {
-    val localSt = LocalBackend.run(code, data)
-    val sparkSt = SparkBackend.run(code, fromLocal(spark, data), spark)
-    for (o <- outputs) (localSt(o), sparkSt(o)) match {
-      case (ScalarD(a), SScalar(b)) => assertSameValue(s"$label.$o", a, b)
-      case (ArrayD(m, ka), SArr(df, ka2)) =>
-        assert(ka == ka2, s"$label.$o arity")
-        val got = df.map(dfToArray(_, ka2).m).getOrElse(Map.empty)
-        assert(got.keySet == m.keySet,
-          s"$label.$o keys: missing=${(m.keySet -- got.keySet).take(3)} " +
-          s"extra=${(got.keySet -- m.keySet).take(3)}")
-        for (k <- m.keySet) assertSameValue(s"$label.$o[$k]", m(k), got(k))
-      case other => fail(s"$label.$o kind mismatch: $other")
-    }
-  }
+                  outputs: List[String]): Unit =
+    SparkTestUtil.assertAgree(spark, label, code, data, outputs)
 
   test("empty input arrays agree with the local backend") {
     val src = """var s: double = 0.0; for v in V do s += v;
@@ -49,6 +29,27 @@ class SparkBackendSmokeSpec extends SparkSpec {
     val empty = ArrayD(Map.empty, 1)
     assertAgree("empty", Diablo.compile(src, sigs), Map("V" -> empty, "W" -> empty),
       List("s", "C"))
+  }
+
+  test("range bounds that depend on loop variables agree with the local backend") {
+    val sigs: Map[String, Sig] = Map("V" -> ArraySig(1), "n" -> ScalarSig)
+    val data = Map("V" -> ArrayD((0 until 4).map(i => List[Any](i.toLong) -> (i + 1.0)).toMap, 1),
+                   "n" -> ScalarD(4L))
+    // the second inner range is empty (lo > hi) when i = n-1
+    for (inner <- List("for j = 0, i", "for j = i+1, n-1")) {
+      val code = Diablo.compile(
+        s"var s: double = 0.0; for i = 0, n-1 do $inner do s += V[j];", sigs)
+      assert(LocalBackend.run(code, data)("s") == ScalarD(20.0), inner)
+      assertAgree(inner, code, data, List("s"))
+    }
+  }
+
+  test("a tuple-valued scalar assignment keeps the whole tuple") {
+    val sigs: Map[String, Sig] = Map("V" -> ArraySig(1))
+    val data = Map("V" -> ArrayD(Map(List[Any](0L) -> 2.5), 1))
+    val code = Diablo.compile("var m: (double,long) = (V[0], 1);", sigs)
+    assert(LocalBackend.run(code, data)("m") == ScalarD(Rec(Vector("_1" -> 2.5, "_2" -> 1L))))
+    assertAgree("tuple", code, data, List("m"))
   }
 
   test("Sum on Spark")            { assertAgree("Sum", 50) }
