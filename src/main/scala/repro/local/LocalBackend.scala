@@ -44,9 +44,13 @@ object LocalBackend {
     case other => throw new IllegalArgumentException(s"not numeric: $other")
   }
 
+  /** Long overflow raises, as in Spark's ANSI mode (unary minus is `0 - x`,
+    * so it raises too).
+    */
   def arith(op: String, a: Any, b: Any): Any = (a, b) match {
     case (x: Long, y: Long) => op match {
-      case "+" => x + y; case "-" => x - y; case "*" => x * y
+      case "+" => Math.addExact(x, y); case "-" => Math.subtractExact(x, y)
+      case "*" => Math.multiplyExact(x, y)
       // `/` is double division, matching Spark SQL semantics
       case "/" => x.toDouble / y.toDouble; case "%" => x % y
     }

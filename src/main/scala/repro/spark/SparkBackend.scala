@@ -167,9 +167,10 @@ object SparkBackend {
         throw new IllegalArgumentException(s"not a column expression: ${show(other)}")
     }
 
-    private def aggOf(m: Monoid, c: Column): Column = m match {
+    /** The aggregate of monoid `m` over column `c` of type `dt`. */
+    private def aggOf(m: Monoid, c: Column, dt: DataType): Column = m match {
       case MSum  => coalesce(sum(c), lit(0))
-      case MProd => aggregate(collect_list(c), lit(1.0), (acc, x) => acc * x)
+      case MProd => aggregate(collect_list(c), lit(1).cast(dt), (acc, x) => acc * x)
       case MAnd  => coalesce(min(c), lit(true))
       case MOr   => coalesce(max(c), lit(false))
       case MMin  => min(c)
@@ -258,7 +259,8 @@ object SparkBackend {
           val argN = fresh(); b = b.withColumn(argN, col_(argE, env))
           (rv, m, argN, fresh())
         }
-        val aggs = redArgs.map { case (_, m, argN, outN) => aggOf(m, col(argN)).as(outN) }
+        val aggs = redArgs.map { case (_, m, argN, outN) =>
+          aggOf(m, col(argN), b.schema(argN).dataType).as(outN) }
         cur = Some(
           if (keyNames.isEmpty) b.agg(aggs.head, aggs.tail: _*)
           else b.groupBy(keyNames.map(col): _*).agg(aggs.head, aggs.tail: _*))

@@ -2,8 +2,8 @@ package repro.spark
 
 import repro.SparkSpec
 import repro.core.Diablo
-import repro.core.Translate.{ArraySig, ScalarSig, Sig, TStmt}
-import repro.local.LocalBackend
+import repro.core.Translate.{ArraySig, ScalarSig, Sig, TStmt, TWhileS}
+import repro.local.{Executor, LocalBackend}
 import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
 import repro.programs.Benchmarks
 
@@ -50,6 +50,57 @@ class SparkBackendSmokeSpec extends SparkSpec {
     val code = Diablo.compile("var m: (double,long) = (V[0], 1);", sigs)
     assert(LocalBackend.run(code, data)("m") == ScalarD(Rec(Vector("_1" -> 2.5, "_2" -> 1L))))
     assertAgree("tuple", code, data, List("m"))
+  }
+
+  private val allMonoids =
+    """var s: double = 0.0; var p: double = 1.0; var n: long = 1;
+      |var lo: double = 1.0e30; var hi: double = -1.0e30;
+      |var all: bool = true; var any: bool = false;
+      |for v in V do { s += v; p *= v; n *= 2; lo min= v; hi max= v;
+      |  all &&= v > 0.0; any ||= v > 3.0; };""".stripMargin
+  private val allMonoidOutputs = List("s", "p", "n", "lo", "hi", "all", "any")
+
+  private def fusedRuns(code: List[TStmt]): List[Int] =
+    Executor.runs(code).collect { case Right(run) => run.length }
+
+  test("a fused run over every monoid agrees with the local backend") {
+    val code = Diablo.compile(allMonoids, Map("V" -> ArraySig(1)))
+    assert(fusedRuns(code) == List(7))
+    val data = Map("V" -> ArrayD((0 until 5).map(i => List[Any](i.toLong) -> (i + 1.0)).toMap, 1))
+    val local = LocalBackend.run(code, data)
+    assert(allMonoidOutputs.map(local(_)) ==
+      List(15.0, 120.0, 32L, 1.0, 5.0, true, true).map(ScalarD(_)))
+    assertAgree("fused", code, data, allMonoidOutputs)
+  }
+
+  test("a fused run over an empty array keeps every initial value") {
+    val code = Diablo.compile(allMonoids, Map("V" -> ArraySig(1)))
+    val data = Map("V" -> ArrayD(Map.empty, 1))
+    assert(LocalBackend.run(code, data)("n") == ScalarD(1L))
+    assertAgree("fused empty", code, data, allMonoidOutputs)
+  }
+
+  test("a fused run inside a while body agrees with the local backend") {
+    val code = Diablo.compile(
+      """var k: long = 0; var s: double = 0.0; var m: double = 0.0;
+        |while (k < 3) { k += 1; for v in V do { s += v * k; m max= v * k; }; };""".stripMargin,
+      Map("V" -> ArraySig(1)))
+    val TWhileS(_, body) = code.last: @unchecked
+    assert(fusedRuns(body) == List(2))
+    val data = Map("V" -> ArrayD((0 until 4).map(i => List[Any](i.toLong) -> (i + 1.0)).toMap, 1))
+    assert(LocalBackend.run(code, data)("s") == ScalarD(60.0))
+    assertAgree("fused while", code, data, List("k", "s", "m"))
+  }
+
+  test("long overflow raises on both backends") {
+    val code = Diablo.compile("var s: long = 0; for v in V do s += v * v;",
+      Map("V" -> ArraySig(1)))
+    val data = Map("V" -> ArrayD(Map(List[Any](0L) -> (1L << 40)), 1))
+    intercept[ArithmeticException](LocalBackend.run(code, data))
+    val e = intercept[Exception](
+      SparkBackend.run(code, SparkBackend.fromLocal(spark, data), spark))
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .exists(x => String.valueOf(x.getMessage).contains("ARITHMETIC_OVERFLOW")), e)
   }
 
   test("Sum on Spark")            { assertAgree("Sum", 50) }

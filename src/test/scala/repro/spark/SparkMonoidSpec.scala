@@ -24,6 +24,18 @@ class SparkMonoidSpec extends SparkSpec {
     assert(outScalar(st, "p") == 24.0)
   }
 
+  test("*= over longs stays long on Spark") {
+    val st = run("var p: long = 1; var C: map[long,long] = map(); " +
+      "for v in V do { p *= v; C[v] *= 2; };",
+      Map("V" -> ArraySig(1)), Map("V" -> vec(0L -> 2L, 1L -> 3L, 2L -> 4L, 3L -> 3L)))
+    // compared by class too, since 72L == 72.0 holds in Scala
+    assert(outScalar(st, "p").getClass == classOf[java.lang.Long])
+    assert(outScalar(st, "p") == 72L)
+    val c = dfToArray(outDF(st, "C"), 1).m
+    assert(c.values.map(_.getClass).toSet == Set(classOf[java.lang.Long]))
+    assert(c == Map(List(2L) -> 2L, List(3L) -> 4L, List(4L) -> 2L))
+  }
+
   test("scalar min=/max= on Spark") {
     val st = run(
       "var lo: double = 1.0e30; var hi: double = -1.0e30; " +
