@@ -9,10 +9,40 @@ import Comprehension._
   * extracted from the head. Each generator carries the later conditions
   * (up to the group-by) whose variables are all bound once it has run and
   * that mention at least one of its own: a backend filters or joins with
-  * them at the generator. The other conditions stay where they are.
+  * them at the generator. The other conditions stay where they are. A scan
+  * that re-reads an element an earlier scan of the same step list bound
+  * reads that scan's element instead (see `reuse`).
   */
 final case class Plan(pre: List[Plan.Step], group: Option[Plan.Group],
-                      post: List[Plan.Step], head: List[CExpr])
+                      post: List[Plan.Step], head: List[CExpr]) {
+  import Plan._
+
+  /** One line per step: ranges with their conditions, scans with their keys
+    * and filters, lets, conditions, the group-by with its reductions,
+    * lookups, and the head.
+    */
+  def show: String = {
+    def e(x: CExpr) = Comprehension.show(x)
+    def es(xs: List[CExpr]) = xs.map(e).mkString(", ")
+    def opt(label: String, xs: List[String]) =
+      if (xs.isEmpty) "" else xs.mkString(s" $label ", ", ", "")
+    def step(s: Step): String = s match {
+      case RangeGen(v, lo, hi, conds) =>
+        s"range $v <- ${e(CRange(lo, hi))}" + opt("where", conds.map(e))
+      case s: Scan =>
+        s"scan ${s.vars.mkString("(", ",", ")")} <- ${s.arr}" +
+          opt("key", s.keys.map { case (i, k) => s"${s.idxVars(i)}=${e(k)}" }) +
+          opt("filter", s.filters.map(e))
+      case Let(v, x)           => s"let $v = ${e(x)}"
+      case Cond(x)             => s"cond ${e(x)}"
+      case Lookup(v, a, ks, d) => s"lookup $v <- $a[${ks.mkString(",")}] default $d"
+    }
+    val grouping = group.map { case Group(kvars, keys, reds) =>
+      s"group by (${kvars.mkString(",")}) : (${es(keys)})" +
+        opt("reduce", reds.map { case (v, m, x) => s"$v = ${m.op}/${e(x)}" }) }
+    (pre.map(step) ++ grouping ++ post.map(step) :+ s"head ${es(head)}").mkString("\n")
+  }
+}
 
 object Plan {
 
@@ -50,7 +80,7 @@ object Plan {
 
   /** The plan of `c`, whose head columns are flattened by `headColumns`. */
   def plan(c: Comp): Plan = splitAtGroup(c.quals) match {
-    case None => Plan(steps(c.quals, Set.empty), None, Nil, headColumns(c.head))
+    case None => Plan(reuse(steps(c.quals, Set.empty)), None, Nil, headColumns(c.head))
     case Some((pre, QGroup(kvars, keys), post)) =>
       def hasReduce(e: CExpr): Boolean =
         e.isInstanceOf[CReduce] || children(e).exists(hasReduce)
@@ -61,8 +91,50 @@ object Plan {
       }, "reductions in post-group qualifiers are not generated")
       var n = 0
       val (head, reds) = extractReduces(c.head, () => { n += 1; s"_r$n" })
-      Plan(steps(pre, Set.empty), Some(Group(kvars, keys, reds)),
-        steps(post, (kvars ++ reds.map(_._1)).toSet), headColumns(head))
+      val bound = kvars ++ reds.map(_._1)
+      Plan(reuse(steps(pre, Set.empty)), Some(Group(kvars, keys, reds)),
+        reuse(steps(post, bound.toSet), bound), headColumns(head))
+  }
+
+  /** Element reuse. An array holds one value per key, so a scan whose keys
+    * fix every index position reads the element of an earlier scan of the
+    * same array whose full key is the same: it becomes lets of its index
+    * variables to its keys and of its value variable to that element,
+    * followed by its filters. Keys are compared after resolving `let`
+    * aliases and the index variables earlier keys fix; an unkeyed index
+    * position's key is its own variable. Only done when no variable is
+    * bound twice, so a resolved key always means the same value.
+    */
+  private def reuse(steps: List[Step], bound0: List[String] = Nil): List[Step] = {
+    val bound = bound0 ++ steps.flatMap {
+      case g: Generator => g.vars
+      case Let(v, _)    => List(v)
+      case l: Lookup    => List(l.v)
+      case _: Cond      => Nil
+    }
+    if (bound.distinct.length != bound.length) return steps
+    var alias = Map.empty[String, CExpr]                // variable → resolved value
+    var read = Map.empty[(String, List[CExpr]), String] // (array, full key) → element
+    def resolve(e: CExpr): CExpr = e match {
+      case CVar(v) => alias.getOrElse(v, e)
+      case _       => mapChildren(e)(resolve)
+    }
+    steps.flatMap {
+      case s @ Scan(idxVars, valVar, a, _, keys, filters) =>
+        alias ++= keys.map { case (i, e) => idxVars(i) -> resolve(e) }
+        val full = idxVars.map(v => resolve(CVar(v)))
+        read.get((a, full)) match {
+          case Some(w) if keys.length == idxVars.length =>
+            alias += valVar -> CVar(w)
+            keys.map { case (i, e) => Let(idxVars(i), e) } ++
+              (Let(valVar, CVar(w)) :: filters.map(Cond))
+          case _ =>
+            read += (a, full) -> valVar
+            List(s)
+        }
+      case l @ Let(v, e) => alias += v -> resolve(e); List(l)
+      case s             => List(s)
+    }
   }
 
   /** Steps of a group-free qualifier list evaluated with `bound0` bound. */

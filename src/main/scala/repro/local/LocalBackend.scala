@@ -44,13 +44,14 @@ object LocalBackend {
     case other => throw new IllegalArgumentException(s"not numeric: $other")
   }
 
-  /** Long overflow raises, as in Spark's ANSI mode (unary minus is `0 - x`,
-    * so it raises too).
+  /** Long overflow and a zero divisor of `/` or `%` raise, as in Spark's
+    * ANSI mode (unary minus is `0 - x`, so it raises too).
     */
   def arith(op: String, a: Any, b: Any): Any = (a, b) match {
     case (x: Long, y: Long) => op match {
       case "+" => Math.addExact(x, y); case "-" => Math.subtractExact(x, y)
       case "*" => Math.multiplyExact(x, y)
+      case "/" | "%" if y == 0 => byZero(op)
       // `/` is double division, matching Spark SQL semantics
       case "/" => x.toDouble / y.toDouble; case "%" => x % y
     }
@@ -58,9 +59,13 @@ object LocalBackend {
       val (x, y) = (toD(a), toD(b))
       op match {
         case "+" => x + y; case "-" => x - y; case "*" => x * y
+        case "/" | "%" if y == 0.0 => byZero(op)
         case "/" => x / y; case "%" => x % y
       }
   }
+
+  private def byZero(op: String): Nothing = throw new ArithmeticException(
+    if (op == "/") "DIVIDE_BY_ZERO: division by zero" else "REMAINDER_BY_ZERO: remainder by zero")
 
   def compareAny(a: Any, b: Any): Int = (a, b) match {
     case (x: String, y: String)   => x.compareTo(y)
@@ -315,7 +320,7 @@ object LocalBackend {
       }, par)
     protected def first(c: Comp, state: State) =
       evaluator(state).rows(c).headOption.map(_.head)
-    protected def merge(old: Data, c: Comp, ka: Int, state: State) = {
+    protected def merge(target: String, old: Data, c: Comp, ka: Int, state: State) = {
       val entries = old match {
         case ArrayD(m, _) => m
         case _            => Map.empty[List[Any], Any]

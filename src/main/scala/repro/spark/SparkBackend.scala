@@ -25,6 +25,8 @@ import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
   *  - the old-value lookup of rule (15a) is a left-outer join with the
   *    monoid identity as default;
   *  - the array merge `◁` is a full-outer join with `coalesce(new, old)`;
+  *    for a self-update `X := X ◁ c` whose lookup reads `X` at the head's
+  *    key, that one join is also the lookup;
   *  - scalars live on the driver; while-loops run on the driver.
   *
   * Array assignments are materialized eagerly (`localCheckpoint`) so
@@ -100,7 +102,7 @@ object SparkBackend {
 
   // --------------------------------------------------------- compilation
 
-  private final class Compiler(spark: SparkSession,
+  private[spark] final class Compiler(spark: SparkSession,
                                state: collection.Map[String, SValue]) {
     private var n = 0
     private def fresh(): String = { n += 1; s"_c$n" }
@@ -192,8 +194,39 @@ object SparkBackend {
       * (named c1..cm). None when the result is statically empty (a generator
       * over a still-uninitialized array).
       */
-    def compile(c: Comp): Option[DataFrame] = {
+    def compile(c: Comp): Option[DataFrame] = build(Plan.plan(c), None)
+
+    /** `target ◁ c`, where `old` is the target's DataFrame, as a DataFrame
+      * with columns k1..kn, v; None when `c` is statically empty. A
+      * self-update — the only post-group step looks the target up at the
+      * group key, which is also the head's key — is one full-outer join of
+      * the aggregate with the target, which serves as both the old-value
+      * lookup and the merge.
+      */
+    def merge(c: Comp, target: String, old: Option[DataFrame], ka: Int): Option[DataFrame] = {
       val p = Plan.plan(c)
+      val self = (p.group, p.post) match {
+        case (Some(g), List(l @ Lookup(_, `target`, kvars, _)))
+            if old.isDefined && kvars == g.kvars && p.head.init == kvars.map(CVar) => Some(l)
+        case _ => None
+      }
+      val keys = (1 to ka).map(i => s"k$i")
+      build(p, self).map { df =>
+        val ndf = df.toDF(keys :+ "v": _*)
+        old match {
+          case Some(odf) if self.isEmpty =>
+            odf.join(ndf.withColumnRenamed("v", "_nv"), keys, "full_outer")
+              .select(keys.map(col) :+ coalesce(col("_nv"), col("v")).as("v"): _*)
+          case _ => ndf
+        }
+      }
+    }
+
+    /** The DataFrame of plan `p`'s head columns. With `self`, the plan's
+      * post-group lookup of an assignment's own target, the head is already
+      * merged into the target (see `merge`).
+      */
+    private def build(p: Plan, self: Option[Lookup]): Option[DataFrame] = {
       if ((p.pre ++ p.post).exists { case s: Scan => arr(s.arr).df.isEmpty; case _ => false })
         return None
       var cur: Option[DataFrame] = None
@@ -217,6 +250,29 @@ object SparkBackend {
         }
       }
 
+      /** Join the array of `l` at its key (`how`: left_outer or full_outer)
+        * and bind its variable to the value there, or to the default when
+        * there is none; returns the names of the array's key and value
+        * columns (none when the array is not assigned yet).
+        */
+      def lookup(l: Lookup, how: String): Seq[String] = {
+        val name = fresh()
+        val cols = arr(l.arr).df match {
+          case None =>
+            cur = Some(base.withColumn(name, defaultCol(l.default))); Nil
+          case Some(adf) =>
+            val rNames = (0 to arr(l.arr).keyArity).map(_ => fresh())
+            val cond = l.keyVars.zipWithIndex.map { case (kv, i) =>
+              col(env(kv)) === col(rNames(i)) }.reduce(_ && _)
+            val vCol = col(rNames.last)
+            val wCol = if (l.default == DNull) vCol else coalesce(vCol, defaultCol(l.default))
+            cur = Some(base.join(adf.toDF(rNames: _*), cond, how).withColumn(name, wCol))
+            rNames
+        }
+        env += l.v -> name
+        cols
+      }
+
       def step(s: Step): Unit = s match {
         case r @ RangeGen(v, lo, hi, _) if freeVars(lo).isEmpty && freeVars(hi).isEmpty =>
           joinIn(r, spark.range(driverLong(lo), driverLong(hi) + 1).toDF(bind(v)))
@@ -233,19 +289,7 @@ object SparkBackend {
           cur = Some(base.withColumn(bind(v), value))
         case Cond(e) =>
           cur = Some(base.filter(col_(e, env)))
-        case Lookup(w, a, keyVars, default) =>
-          val name = fresh()
-          cur = Some(arr(a).df match {
-            case None => base.withColumn(name, defaultCol(default))
-            case Some(adf) =>
-              val rNames = (0 to arr(a).keyArity).map(_ => fresh())
-              val cond = keyVars.zipWithIndex.map { case (kv, i) =>
-                col(env(kv)) === col(rNames(i)) }.reduce(_ && _)
-              val vCol = col(rNames.last)
-              val wCol = if (default == DNull) vCol else coalesce(vCol, defaultCol(default))
-              base.join(adf.toDF(rNames: _*), cond, "left_outer").withColumn(name, wCol)
-          })
-          env += w -> name
+        case l: Lookup => lookup(l, "left_outer")
       }
 
       p.pre.foreach(step)
@@ -266,9 +310,21 @@ object SparkBackend {
           else b.groupBy(keyNames.map(col): _*).agg(aggs.head, aggs.tail: _*))
         env = kvars.zip(keyNames).toMap ++ redArgs.map { case (rv, _, _, outN) => rv -> outN }
       }
-      p.post.foreach(step)
-      Some(base.select(p.head.zipWithIndex.map { case (e, i) =>
-        col_(e, env).as(s"c${i + 1}") }: _*))
+      val head = self match {
+        case None =>
+          p.post.foreach(step)
+          p.head.map(col_(_, env))
+        case Some(l) =>
+          // aggregate rows (marked) take the head, with the old value as
+          // the lookup; the target's other rows keep their value
+          val marker = fresh()
+          cur = Some(base.withColumn(marker, lit(true)))
+          val old = lookup(l, "full_outer")
+          val oldV = col(old.last)
+          p.head.init.zip(old).map { case (k, o) => coalesce(col_(k, env), col(o)) } :+
+            when(col(marker).isNull, oldV).otherwise(coalesce(col_(p.head.last, env), oldV))
+      }
+      Some(base.select(head.zipWithIndex.map { case (h, i) => h.as(s"c${i + 1}") }: _*))
     }
   }
 
@@ -284,17 +340,10 @@ object SparkBackend {
       new Compiler(spark, state).compile(c).flatMap { df =>
         df.collect().headOption.map(r => fromSparkValue(r.get(0), df.schema.head.dataType))
       }
-    protected def merge(old: SValue, c: Comp, ka: Int, state: State) =
-      new Compiler(spark, state).compile(c).fold(old) { df =>
-        val keys = (1 to ka).map(i => s"k$i")
-        val ndf = df.toDF(keys :+ "v": _*)
-        val merged = old match {
-          case SArr(Some(odf), _) =>
-            odf.join(ndf.withColumnRenamed("v", "_nv"), keys, "full_outer")
-              .select(keys.map(col) :+ coalesce(col("_nv"), col("v")).as("v"): _*)
-          case _ => ndf
-        }
-        SArr(Some(merged.localCheckpoint(true)), ka)
-      }
+    protected def merge(target: String, old: SValue, c: Comp, ka: Int, state: State) = {
+      val odf = old match { case SArr(df, _) => df; case _ => None }
+      new Compiler(spark, state).merge(c, target, odf, ka)
+        .fold(old)(df => SArr(Some(df.localCheckpoint(true)), ka))
+    }
   }.run(prog, init)
 }

@@ -83,6 +83,63 @@ class PlanSpec extends SparkSpec {
     ).getMessage.contains("unsupported let pattern"))
   }
 
+  private def scanCount(steps: List[Step]): Int = steps.count(_.isInstanceOf[Scan])
+  private def kMeansPlans(code: List[Translate.TStmt]): Map[String, Plan] =
+    code.collect { case Translate.TAssign(n, c, true) => n -> Plan.plan(c) }.toMap
+
+  test("KMeans reads P[i], C[j] and CN[j] once each, translated and optimized") {
+    val p = Benchmarks.byName("KMeans")
+    for (code <- List(Translate.translate(Parser.parse(p.source), p.sigs),
+                      Diablo.compile(p.source, p.sigs))) {
+      // the last `near` assignment is the update; the map keeps it
+      val plans = kMeansPlans(code)
+      assert(scanCount(plans("near").pre) == 2)
+      assert(plans("near").pre.collect { case s: Scan => s.arr } == List("P", "C"))
+      assert(scanCount(plans("C2").pre) == 3)
+    }
+  }
+
+  private def scanAB(second: String, key: CExpr, more: Qual*): Plan =
+    Plan.plan(Comp(CTup(List(CVar("x"), CVar("y"))),
+      List(scan("i", "x", "A"), scan("j", "y", second), eq(CVar("j"), key)) ++ more))
+
+  test("a scan at the key of an earlier scan of the same array reads its element") {
+    assert(scanAB("A", CVar("i")).pre ==
+      List(Scan(List("i"), "x", "A", Nil, Nil, Nil), Let("j", CVar("i")), Let("y", CVar("x"))))
+    // through a let alias, and through the index an earlier key fixes
+    val c = Comp(CVar("z"), List(scan("i", "x", "A"), QLet(PVar("m"), CVar("i")),
+      scan("j", "y", "B"), eq(CVar("j"), CVar("m")),
+      scan("k", "z", "A"), eq(CVar("k"), CVar("j"))))
+    assert(scanCount(Plan.plan(c).pre) == 2)
+  }
+
+  test("a reused scan keeps its filters") {
+    val pos = CBin(">", CVar("y"), CLit(0L))
+    assert(scanAB("A", CVar("i"), QPred(pos)).pre.drop(1) ==
+      List(Let("j", CVar("i")), Let("y", CVar("x")), Cond(pos)))
+  }
+
+  test("scans of another array, at another key or a partial key are not reused") {
+    assert(scanCount(scanAB("B", CVar("i")).pre) == 2)
+    assert(scanCount(scanAB("A", CBin("+", CVar("i"), CLit(1L))).pre) == 2)
+    // A[i, _] after A[i, j]: the second scan fixes only its first index
+    val m = Comp(CVar("y"), List(Gen(PTup(List(PVar("i"), PVar("j"), PVar("x"))), CArr("A")),
+      Gen(PTup(List(PVar("k"), PVar("l"), PVar("y"))), CArr("A")), eq(CVar("k"), CVar("i"))))
+    assert(scanCount(Plan.plan(m).pre) == 2)
+    // B rebinds i, so the key i is not A's first index
+    val rebound = Comp(CVar("y"), List(scan("i", "x", "A"), scan("i", "w", "B"),
+      scan("j", "y", "A"), eq(CVar("j"), CVar("i"))))
+    assert(scanCount(Plan.plan(rebound).pre) == 3)
+  }
+
+  test("a scan after the group-by does not reuse one before it") {
+    val c = Comp(CTup(List(CVar("k"), CReduce(MSum, CVar("x")), CVar("y"))),
+      List(scan("i", "x", "A"), QGroup(List("k"), List(CVar("i"))),
+           scan("j", "y", "A"), eq(CVar("j"), CVar("k"))))
+    val p = Plan.plan(c)
+    assert(scanCount(p.pre) == 1 && scanCount(p.post) == 1)
+  }
+
   test("local and Spark agree on unoptimized target code") {
     val scales = Map("Matrix Addition" -> 4, "Matrix Multiplication" -> 3, "PCA" -> 8,
       "Matrix Factorization" -> 4, "KMeans" -> 20, "PageRank" -> 10)

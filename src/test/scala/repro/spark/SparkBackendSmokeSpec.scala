@@ -2,7 +2,8 @@ package repro.spark
 
 import repro.SparkSpec
 import repro.core.Diablo
-import repro.core.Translate.{ArraySig, ScalarSig, Sig, TStmt, TWhileS}
+import org.apache.spark.sql.catalyst.plans.logical.Join
+import repro.core.Translate.{ArraySig, ScalarSig, Sig, TAssign, TStmt, TWhileS}
 import repro.local.{Executor, LocalBackend}
 import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
 import repro.programs.Benchmarks
@@ -101,6 +102,79 @@ class SparkBackendSmokeSpec extends SparkSpec {
       SparkBackend.run(code, SparkBackend.fromLocal(spark, data), spark))
     assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
       .exists(x => String.valueOf(x.getMessage).contains("ARITHMETIC_OVERFLOW")), e)
+  }
+
+  test("division by zero raises on both backends") {
+    for ((src, v, error) <- List(
+        ("var s: double = 0.0; for v in V do s += v / 0.0;", 2.0, "DIVIDE_BY_ZERO"),
+        ("var s: long = 0; for v in V do s += v % 0;", 2L, "REMAINDER_BY_ZERO"))) {
+      val code = Diablo.compile(src, Map("V" -> ArraySig(1)))
+      val data = Map("V" -> ArrayD(Map(List[Any](0L) -> v), 1))
+      assert(intercept[ArithmeticException](LocalBackend.run(code, data))
+        .getMessage.contains(error))
+      val e = intercept[Exception](
+        SparkBackend.run(code, SparkBackend.fromLocal(spark, data), spark))
+      assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+        .exists(x => String.valueOf(x.getMessage).contains(error)), e)
+    }
+  }
+
+  // keys 5..14, 5 and 12 twice: C[0..4] are not updated, C[10..14] are new
+  private val kValues = (5L to 14L).toList ++ List(5L, 12L)
+  private val kData =
+    Map("K" -> ArrayD(kValues.zipWithIndex.map { case (v, i) => List[Any](i.toLong) -> v }.toMap, 1))
+  private def selfUpdate(body: String): List[TStmt] = Diablo.compile(
+    s"""var C: vector[double] = vector(); var k: long = 0;
+       |for i = 0, 9 do C[i] := 10.0;
+       |$body""".stripMargin, Map("K" -> ArraySig(1)))
+
+  test("a self-update keeps the keys it does not update and defaults the new ones") {
+    val counts = kValues.groupBy(identity).map { case (k, vs) => k -> vs.length }
+    for (op <- List("+=", "min=", "*=")) {
+      val code = selfUpdate(s"for v in K do C[v] $op v * 0.5;")
+      val expected = (0L to 14L).map { k =>
+        val (old, x, n) = (if (k < 10) Some(10.0) else None, k * 0.5, counts.getOrElse(k, 0))
+        List[Any](k) -> (op match {
+          case "+="   => old.getOrElse(0.0) + n * x
+          case "*="   => old.getOrElse(1.0) * math.pow(x, n)
+          case "min=" => if (n == 0) old.get else math.min(old.getOrElse(x), x)
+        })
+      }.toMap
+      assert(LocalBackend.run(code, kData)("C") == ArrayD(expected, 1), op)
+      assertAgree(op, code, kData, List("C"))
+    }
+  }
+
+  test("a self-update inside a while body agrees with the local backend") {
+    val code = selfUpdate("while (k < 3) { k += 1; for v in K do C[v] += v * 0.5 * k; };")
+    val local = LocalBackend.run(code, kData)
+    assert(local("C").asInstanceOf[ArrayD].m(List(5L)) == 10.0 + 2 * 2.5 * (1 + 2 + 3))
+    assertAgree("while", code, kData, List("C", "k"))
+  }
+
+  /** Join nodes in the optimized logical plan of the last statement of
+    * `code`, a self-update, after the others ran on Spark.
+    */
+  private def mergeJoins(code: List[TStmt], data: Map[String, Data]): Int = {
+    val TAssign(target, c, true) = code.last: @unchecked
+    val state = SparkBackend.run(code.init, SparkBackend.fromLocal(spark, data), spark)
+    val SparkBackend.SArr(old, ka) = state(target): @unchecked
+    val df = new SparkBackend.Compiler(spark, state).merge(c, target, old, ka).get
+    df.queryExecution.optimizedPlan.collect { case j: Join => j }.length
+  }
+
+  test("a self-update is one join with its target") {
+    val kMeans = Benchmarks.byName("KMeans")
+    val near = Diablo.compile(kMeans.source, kMeans.sigs).take(7) // up to near's update
+    val matMul = Benchmarks.byName("Matrix Multiplication")
+    for ((label, code, data, joins) <- List(
+        ("C", selfUpdate("for v in K do C[v] += 1.0;"), kData, 1),  // the merge
+        ("KMeans near", near, kMeans.data(20, 42), 2),               // P × C, the merge
+        ("Matrix Multiplication R", Diablo.compile(matMul.source, matMul.sigs),
+          matMul.data(3, 42), 2))) {                                 // M ⋈ N, the merge
+      assert(mergeJoins(code, data) == joins, label)
+      assert(mergeJoins(code, data) == joins, s"$label, again")
+    }
   }
 
   test("Sum on Spark")            { assertAgree("Sum", 50) }

@@ -16,12 +16,15 @@ in BENCHMARK.json, whether the change is worse than the parent. For the
 `--claim` metric it prints the verdict of the paired-run rule: the change
 wins at least nine tenths of the pairs (ties count for neither) and the
 medians differ, in the better direction, by more than the parent's
-interquartile distance. Each run's standard error (the per-program table) and
-a summary.json go to `--logs` (default `.bench_build/pairs/<time>/`).
+interquartile distance. Then, per workload, each side's median over its runs
+of every program's Spark and hand-written times, read from the per-program
+table each run prints on standard error. Each run's standard error and a
+summary.json go to `--logs` (default `.bench_build/pairs/<time>/`).
 """
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -68,6 +71,26 @@ def run_once(root, workload, seed, seconds, log_path):
         return None
 
 
+def program_table(log_path):
+    """The per-program table of a run's standard error: {program: {column:
+    median}}. A row is the program name padded to 22 characters, then one
+    cell per column, `median (samples)` or `-`."""
+    table, cols = {}, None
+    with open(log_path) as f:
+        for line in f:
+            if not line.startswith("[perfbench] "):
+                continue
+            row = line[len("[perfbench] "):].rstrip()
+            if row.startswith("program "):
+                cols = row.split()[1:]
+                continue
+            cells = re.findall(r"(-?[\d.]+) \(\s*\d+\)|(?<!\S)-(?!\S)", row[22:])
+            if cols and len(cells) == len(cols):
+                table[row[:22].strip()] = {
+                    c: float(v) for c, v in zip(cols, cells) if v}
+    return table
+
+
 def quartiles(xs):
     """(first quartile, median, third quartile); linear interpolation."""
     if len(xs) == 1:
@@ -82,6 +105,19 @@ def better(metric, a, b):
         return 0
     lower = metric["better"] == "lower"
     return 1 if (a < b) == lower else -1
+
+
+def print_programs(runs, cols=("spark", "hand.spark")):
+    """Each side's median, over its runs, of every program's times."""
+    def median(side, prog, col):
+        xs = [r["programs"][prog][col] for r in runs
+              if r["side"] == side and col in r["programs"].get(prog, {})]
+        return statistics.median(xs) if xs else float("nan")
+    print("per-program medians (ms), parent -> change:")
+    for p in dict.fromkeys(p for r in runs for p in r["programs"]):
+        print(f"  {p:<22}" + "   ".join(
+            f"{c} {median('parent', p, c):9.1f} -> {median('change', p, c):9.1f}"
+            for c in cols))
 
 
 def main():
@@ -120,7 +156,7 @@ def main():
                            "wall_s": round(time.time() - t0, 1),
                            "correct": (res or {}).get("correct"),
                            "failed": (res or {}).get("failed"),
-                           "metrics": vals}
+                           "metrics": vals, "programs": program_table(log)}
                     runs.append(run)
                     print(json.dumps(run), flush=True)
     finally:
@@ -157,6 +193,7 @@ def main():
                       f"({'>=' if won else '<'} 9/10), median difference "
                       f"{abs(cm - pm):.4g} {'>' if clear else '<='} parent IQR {p3 - p1:.4g}: "
                       f"{'GAIN' if won and clear else 'NO GAIN'}")
+        print_programs([r for r in runs if r["workload"] == w])
     bad = [r for r in runs if r["correct"] is not True or r["failed"]]
     print(f"\n{len(runs)} runs, {len(bad)} incorrect or failed; logs in {logs}")
     with open(os.path.join(logs, "summary.json"), "w") as f:
