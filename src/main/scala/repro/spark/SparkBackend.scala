@@ -13,7 +13,8 @@ import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
 /** Spark backend: compiles the `Plan` of DIABLO target code to DataFrame
   * (Catalyst) operations.
   *
-  *  - an array is a DataFrame with columns `k1..kn, v` (`v` may be a struct);
+  *  - an array is a DataFrame with columns `k1..kn, v` (`v` may be a struct)
+  *    and, when known, its row count;
   *  - a generator becomes a scan; the conditions it carries filter it when
   *    they mention only its own variables and otherwise are the join
   *    condition (a cross join when there are none — e.g. KMeans' points ×
@@ -24,20 +25,36 @@ import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
   *    backend form of rule 16);
   *  - the old-value lookup of rule (15a) is a left-outer join with the
   *    monoid identity as default;
+  *  - the new side of an inner, cross or lookup join is broadcast when its
+  *    estimated size is at most `BroadcastBytes` (see `Compiler.small`);
   *  - the array merge `◁` is a full-outer join with `coalesce(new, old)`;
   *    for a self-update `X := X ◁ c` whose lookup reads `X` at the head's
   *    key, that one join is also the lookup;
   *  - scalars live on the driver; while-loops run on the driver.
   *
-  * Array assignments are materialized eagerly (`localCheckpoint`) so
-  * iterative programs do not accumulate lineage.
+  * The result of an array assignment is checkpointed (`localCheckpoint`),
+  * so iterative programs do not accumulate lineage, and counted by the
+  * same Spark job; the count travels with the array, so a statement run on
+  * its own chooses the joins a whole-program run does.
   */
 object SparkBackend {
 
   sealed trait SValue
   final case class SScalar(v: Any) extends SValue
-  /** df has columns k1..kn, v; None until the first assignment. */
-  final case class SArr(df: Option[DataFrame], keyArity: Int) extends SValue
+  /** df has columns k1..kn, v; None until the first assignment. `rows`,
+    * when known, is df's row count.
+    */
+  final case class SArr(df: Option[DataFrame], keyArity: Int, rows: Option[Long] = None)
+      extends SValue
+  object SArr {
+    /** `SArr(df, keyArity)`: patterns need not name the row count. */
+    def unapply(a: SArr): Some[(Option[DataFrame], Int)] = Some((a.df, a.keyArity))
+  }
+
+  /** A join side estimated at most this size is broadcast: Spark's default
+    * `spark.sql.autoBroadcastJoinThreshold`, whatever the session sets.
+    */
+  val BroadcastBytes: Long = 10L << 20
 
   // ------------------------------------------------------- value bridging
 
@@ -67,14 +84,15 @@ object SparkBackend {
     case (other, _)    => other
   }
 
-  /** Local state → Spark state. An empty array has no schema to infer, so
-    * it becomes a never-assigned one.
+  /** Local state → Spark state, with each array's row count. An empty
+    * array has no schema to infer, so it becomes a never-assigned one.
     */
   def fromLocal(spark: SparkSession, data: Map[String, Data]): Map[String, SValue] =
     data.map {
       case (n, ScalarD(v))                 => n -> SScalar(v)
       case (n, ArrayD(m, ka)) if m.isEmpty => n -> SArr(None, ka)
-      case (n, a @ ArrayD(_, ka))          => n -> SArr(Some(arrayToDF(spark, a)), ka)
+      case (n, a @ ArrayD(m, ka))          =>
+        n -> SArr(Some(arrayToDF(spark, a)), ka, Some(m.size.toLong))
     }
 
   /** Local array → DataFrame with columns k1..kn, v. */
@@ -187,6 +205,18 @@ object SparkBackend {
       case DNull  => lit(null)
     }
 
+    /** `df`, the new side of a join, hinted for broadcast when its estimated
+      * size is at most `BroadcastBytes`: `rows` times the row size when the
+      * count is known, else Spark's plan statistics — exact for a cached
+      * DataFrame and for `spark.range`, `spark.sql.defaultSizeInBytes` for
+      * an uncached RDD, which is therefore never broadcast.
+      */
+    private def small(df: DataFrame, rows: Option[Long]): DataFrame = {
+      val bytes = rows.fold(df.queryExecution.optimizedPlan.stats.sizeInBytes)(
+        BigInt(_) * df.schema.defaultSize)
+      if (bytes <= BroadcastBytes) broadcast(df) else df
+    }
+
     private def driverLong(e: CExpr): Long =
       LocalBackend.toLong(LocalBackend.evalExpr(e, Map.empty, scalarVal))
 
@@ -235,38 +265,44 @@ object SparkBackend {
       def bind(v: String): String = { val name = fresh(); env += v -> name; name }
 
       /** Join the DataFrame `df0` of generator `g`, whose columns are bound
-        * in `env`: carried conditions on its own variables filter `df0`, the
-        * others are the join condition (a cross join when there are none).
+        * in `env` and whose row count is `rows` if known: carried conditions
+        * on its own variables filter `df0`, the others are the join
+        * condition (a cross join when there are none).
         */
-      def joinIn(g: Generator, df0: DataFrame): Unit = {
+      def joinIn(g: Generator, df0: DataFrame, rows: Option[Long]): Unit = {
         val (own, links) = g.conds.partition(e => freeVars(e).subsetOf(g.vars.toSet))
         val df = own.foldLeft(df0)((d, e) => d.filter(col_(e, env)))
         val conds = links.map(col_(_, env))
         cur = cur match {
           case None    => Some(conds.foldLeft(df)((d, c) => d.filter(c)))
           case Some(l) =>
-            if (conds.isEmpty) Some(l.crossJoin(df))
-            else Some(l.join(df, conds.reduce(_ && _), "inner"))
+            val r = small(df, rows)
+            if (conds.isEmpty) Some(l.crossJoin(r))
+            else Some(l.join(r, conds.reduce(_ && _), "inner"))
         }
       }
 
-      /** Join the array of `l` at its key (`how`: left_outer or full_outer)
-        * and bind its variable to the value there, or to the default when
-        * there is none; returns the names of the array's key and value
-        * columns (none when the array is not assigned yet).
+      /** Join the array of `l` at its key (`how`: left_outer, the array
+        * broadcast when small, or full_outer) and bind its variable to the
+        * value there, or to the default when there is none; returns the
+        * names of the array's key and value columns (none when the array is
+        * not assigned yet).
         */
       def lookup(l: Lookup, how: String): Seq[String] = {
         val name = fresh()
-        val cols = arr(l.arr).df match {
+        val a = arr(l.arr)
+        val cols = a.df match {
           case None =>
             cur = Some(base.withColumn(name, defaultCol(l.default))); Nil
           case Some(adf) =>
-            val rNames = (0 to arr(l.arr).keyArity).map(_ => fresh())
+            val rNames = (0 to a.keyArity).map(_ => fresh())
             val cond = l.keyVars.zipWithIndex.map { case (kv, i) =>
               col(env(kv)) === col(rNames(i)) }.reduce(_ && _)
             val vCol = col(rNames.last)
             val wCol = if (l.default == DNull) vCol else coalesce(vCol, defaultCol(l.default))
-            cur = Some(base.join(adf.toDF(rNames: _*), cond, how).withColumn(name, wCol))
+            val side = adf.toDF(rNames: _*)
+            val right = if (how == "left_outer") small(side, a.rows) else side
+            cur = Some(base.join(right, cond, how).withColumn(name, wCol))
             rNames
         }
         env += l.v -> name
@@ -275,7 +311,7 @@ object SparkBackend {
 
       def step(s: Step): Unit = s match {
         case r @ RangeGen(v, lo, hi, _) if freeVars(lo).isEmpty && freeVars(hi).isEmpty =>
-          joinIn(r, spark.range(driverLong(lo), driverLong(hi) + 1).toDF(bind(v)))
+          joinIn(r, spark.range(driverLong(lo), driverLong(hi) + 1).toDF(bind(v)), None)
         case RangeGen(v, lo, hi, conds) =>
           // bounds depend on earlier bindings: each binding gets its own
           // range, none when lo > hi
@@ -283,7 +319,8 @@ object SparkBackend {
           val ranged = base.withColumn(bind(v), explode(when(l <= h, sequence(l, h))))
           cur = Some(conds.foldLeft(ranged)((d, e) => d.filter(col_(e, env))))
         case g: Scan =>
-          joinIn(g, arr(g.arr).df.get.toDF(g.vars.map(bind): _*))
+          val a = arr(g.arr)
+          joinIn(g, a.df.get.toDF(g.vars.map(bind): _*), a.rows)
         case Let(v, e) =>
           val value = col_(e, env)
           cur = Some(base.withColumn(bind(v), value))
@@ -342,8 +379,12 @@ object SparkBackend {
       }
     protected def merge(target: String, old: SValue, c: Comp, ka: Int, state: State) = {
       val odf = old match { case SArr(df, _) => df; case _ => None }
-      new Compiler(spark, state).merge(c, target, odf, ka)
-        .fold(old)(df => SArr(Some(df.localCheckpoint(true)), ka))
+      new Compiler(spark, state).merge(c, target, odf, ka).fold(old) { df =>
+        // one job computes, checkpoints and counts the array, as the one
+        // job of an eager checkpoint would
+        val done = df.localCheckpoint(false)
+        SArr(Some(done), ka, Some(done.queryExecution.toRdd.count()))
+      }
     }
   }.run(prog, init)
 }

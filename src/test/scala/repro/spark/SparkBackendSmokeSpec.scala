@@ -2,7 +2,13 @@ package repro.spark
 
 import repro.SparkSpec
 import repro.core.Diablo
+import org.apache.spark.repro.ListenerBus
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.plans.logical.Join
+import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.joins.BaseJoinExec
+import org.apache.spark.sql.util.QueryExecutionListener
 import repro.core.Translate.{ArraySig, ScalarSig, Sig, TAssign, TStmt, TWhileS}
 import repro.local.{Executor, LocalBackend}
 import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
@@ -175,6 +181,90 @@ class SparkBackendSmokeSpec extends SparkSpec {
       assert(mergeJoins(code, data) == joins, label)
       assert(mergeJoins(code, data) == joins, s"$label, again")
     }
+  }
+
+  private object AdaptivePlans extends AdaptiveSparkPlanHelper
+
+  /** Join operators, by name, in the executed adaptive plans of the
+    * queries `body` runs (a Spark run forces every array it assigns).
+    */
+  private def joinOperators(body: => Any): Map[String, Int] = {
+    val plans = collection.mutable.Buffer.empty[SparkPlan]
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        plans.synchronized(plans += qe.executedPlan)
+      def onFailure(funcName: String, qe: QueryExecution, e: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try { body; ListenerBus.drain(spark.sparkContext) }
+    finally spark.listenerManager.unregister(listener)
+    plans.toList.flatMap(p => AdaptivePlans.collect(p) { case j: BaseJoinExec => j.nodeName })
+      .groupBy(identity).map { case (n, js) => n -> js.length }
+  }
+
+  private def runSpark(code: List[TStmt], state: Map[String, SparkBackend.SValue]) =
+    SparkBackend.run(code, state, spark)
+
+  private val matAdd = Benchmarks.byName("Matrix Addition")
+
+  test("Matrix Addition broadcasts one side of its join") {
+    val code = Diablo.compile(matAdd.source, matAdd.sigs)
+    val state = SparkBackend.fromLocal(spark, matAdd.data(6, 42))
+    assert(joinOperators(runSpark(code, state)) == Map("BroadcastHashJoin" -> 1))
+  }
+
+  test("KMeans near broadcasts the centroids and merges with a sort-merge join") {
+    val kMeans = Benchmarks.byName("KMeans")
+    val near = Diablo.compile(kMeans.source, kMeans.sigs).take(7) // up to near's update
+    val state = runSpark(near.init, SparkBackend.fromLocal(spark, kMeans.data(20, 42)))
+    assert(joinOperators(runSpark(List(near.last), state)) ==
+      Map("BroadcastNestedLoopJoin" -> 1, "SortMergeJoin" -> 1))
+  }
+
+  test("an input of unknown size is shuffled, a cached one is broadcast") {
+    val code = Diablo.compile(matAdd.source, matAdd.sigs)
+    val data = matAdd.data(6, 42)
+    def inputs(df: ArrayD => DataFrame) = data.map {
+      case (n, a: ArrayD) => n -> SparkBackend.SArr(Some(df(a)), a.keyArity)
+      case (n, ScalarD(v)) => n -> SparkBackend.SScalar(v)
+    }
+    // an uncached RDD has no size statistics
+    val uncached = inputs(SparkBackend.arrayToDF(spark, _))
+    assert(joinOperators(runSpark(code, uncached)) == Map("SortMergeJoin" -> 1))
+    // a cached DataFrame's statistics are exact once it is materialized
+    val cached = inputs { a =>
+      val df = SparkBackend.arrayToDF(spark, a).cache(); df.count(); df }
+    try assert(joinOperators(runSpark(code, cached)) == Map("BroadcastHashJoin" -> 1))
+    finally cached.values.foreach {
+      case SparkBackend.SArr(Some(df), _) => df.unpersist(); case _ => () }
+  }
+
+  test("a program run one statement at a time chooses the joins of a whole run") {
+    for ((name, scale) <- List(("KMeans", 20), ("Matrix Multiplication", 4), ("PageRank", 30))) {
+      val p = Benchmarks.byName(name)
+      val code = Diablo.compile(p.source, p.sigs)
+      val init = SparkBackend.fromLocal(spark, p.data(scale, 42))
+      val whole = joinOperators(runSpark(code, init))
+      val stepwise = joinOperators(code.foldLeft(init)((st, s) => runSpark(List(s), st)))
+      assert(whole == stepwise, name)
+      assert(whole.contains("BroadcastHashJoin"), name)
+    }
+  }
+
+  test("fromLocal and merge record row counts; a statically empty assignment keeps them") {
+    val v = ArrayD((0 until 3).map(i => List[Any](i.toLong) -> 1.0).toMap, 1)
+    val bridged = SparkBackend.fromLocal(spark, Map("V" -> v, "W" -> ArrayD(Map.empty, 1)))
+    assert(bridged("V").asInstanceOf[SparkBackend.SArr].rows == Some(3L))
+    assert(bridged("W") == SparkBackend.SArr(None, 1))
+    val code = Diablo.compile(
+      """var C: vector[double] = vector(); var D: vector[double] = vector();
+        |for i = 0, 9 do C[i] := 10.0;
+        |for i = 0, 4 do C[i] := D[i];""".stripMargin, Map.empty)
+    val filled = runSpark(code.init, Map.empty)
+    val c = filled("C").asInstanceOf[SparkBackend.SArr]
+    assert(c.rows == Some(10L) && c.df.get.count() == 10L)
+    // D is never assigned, so the last assignment is statically empty
+    assert(runSpark(List(code.last), filled)("C") eq c)
   }
 
   test("Sum on Spark")            { assertAgree("Sum", 50) }

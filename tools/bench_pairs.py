@@ -20,6 +20,13 @@ interquartile distance. Then, per workload, each side's median over its runs
 of every program's Spark and hand-written times, read from the per-program
 table each run prints on standard error. Each run's standard error and a
 summary.json go to `--logs` (default `.bench_build/pairs/<time>/`).
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --workload join-linalg --counts
+
+With `--counts`, instead of the pairs, runs `perfbench/run.py --trace 1` once
+per side on seed 1 and prints, per program, each side's Spark job, exchange
+and join-operator counts and shuffle write, read from the side's
+`.bench_build/perfbench/trace/<workload>-seed1.json`.
 """
 import argparse
 import json
@@ -55,12 +62,17 @@ def unpack(rev, dest):
         raise SystemExit(f"git archive {rev} failed")
 
 
-def run_once(root, workload, seed, seconds, log_path):
-    """One untraced benchmark run in checkout `root`; returns its result
-    object, or None when the run printed none."""
+COUNTS = ("spark.jobs", "spark.exchanges", "spark.joins.smj", "spark.joins.shj",
+          "spark.joins.bhj", "spark.joins.nested_loop", "spark.joins.cartesian",
+          "spark.shuffle_write_mb")
+
+
+def run_once(root, workload, seed, seconds, log_path, trace=0):
+    """One benchmark run in checkout `root`; returns its result object, or
+    None when the run printed none."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     with open(log_path, "w") as err:
         proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE,
                               stderr=err, text=True)
@@ -69,6 +81,39 @@ def run_once(root, workload, seed, seconds, log_path):
         return json.loads(lines[-1])
     except (IndexError, ValueError):
         return None
+
+
+def traced_counts(root, workload, seconds, log_path):
+    """{program: {count: value}} of one traced run on seed 1 in checkout
+    `root`, read from its trace file; {} when the run wrote none."""
+    path = os.path.join(root, ".bench_build", "perfbench", "trace",
+                        f"{workload}-seed1.json")
+    if os.path.exists(path):
+        os.remove(path)
+    run_once(root, workload, 1, seconds, log_path, trace=1)
+    if not os.path.exists(path):
+        return {}
+    with open(path) as f:
+        programs = json.load(f)["programs"]
+    return {p["program"]: {c: p["traced"].get(c) for c in COUNTS} for p in programs}
+
+
+def print_counts(workload, counts):
+    """One row per program and a total row: each count, parent -> change."""
+    for side in counts.values():
+        if side:
+            side["total"] = {c: sum(p.get(c) or 0 for p in side.values()) for c in COUNTS}
+
+    def cell(side, prog, c):
+        v = counts[side].get(prog, {}).get(c)
+        if v is None:
+            return "-"
+        return f"{v:.2f}" if c == "spark.shuffle_write_mb" else f"{v:g}"
+    print(f"\n== {workload}: traced counts (seed 1), parent -> change")
+    print(f"{'program':<22}" + "".join(f"{c[6:]:>20}" for c in COUNTS))
+    for p in dict.fromkeys(list(counts["parent"]) + list(counts["change"])):
+        print(f"{p:<22}" + "".join(
+            f"{cell('parent', p, c) + ' -> ' + cell('change', p, c):>20}" for c in COUNTS))
 
 
 def program_table(log_path):
@@ -128,6 +173,8 @@ def main():
     ap.add_argument("--seeds", type=seeds_of, default=seeds_of("1-10"))
     ap.add_argument("--seconds", type=int, default=8)
     ap.add_argument("--claim", help="end-to-end metric the change claims to improve")
+    ap.add_argument("--counts", action="store_true",
+                    help="one traced run per side on seed 1; print Spark counts per program")
     ap.add_argument("--logs", help="directory for run logs and summary.json")
     args = ap.parse_args()
 
@@ -144,6 +191,16 @@ def main():
     try:
         unpack(args.parent, parent_dir)
         sides = {"parent": parent_dir, "change": ROOT}
+        if args.counts:
+            counts = {w: {side: traced_counts(root, w, args.seconds,
+                                              os.path.join(logs, f"{w}-seed1-{side}-trace.err"))
+                          for side, root in sides.items()}
+                      for w in args.workload}
+            for w, c in counts.items():
+                print_counts(w, c)
+            with open(os.path.join(logs, "summary.json"), "w") as f:
+                json.dump({"args": vars(args), "counts": counts}, f, indent=1)
+            return 0 if all(c for w in counts.values() for c in w.values()) else 1
         for w in args.workload:
             for i, seed in enumerate(args.seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
