@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.core.Ast._
 import repro.core.Comprehension._
-import repro.core.{Diablo, Parser}
+import repro.core.{Ast, Diablo, Parser}
 import repro.local.LocalBackend
 import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
 import repro.programs.Benchmarks.ProgramSpec
@@ -238,24 +238,10 @@ object CasperSim {
     */
   private def mineFragments(prog: List[Stmt], scalarNames: Set[String]): List[Expr] = {
     val out = scala.collection.mutable.LinkedHashSet.empty[Expr]
-    def subexprs(e: Expr): Unit = { out += e; e match {
-      case BinOp(_, l, r) => subexprs(l); subexprs(r)
-      case UnOp(_, b)     => subexprs(b)
-      case FieldAcc(b, _) => subexprs(b)
-      case TupleE(es)     => es.foreach(subexprs)
-      case CallE(_, as)   => as.foreach(subexprs)
-      case Index(_, idx)  => idx.foreach(subexprs)
-      case _              => ()
-    }}
+    def subexprs(e: Expr): Unit = { out += e; Ast.children(e).foreach(subexprs) }
     def rename(e: Expr, v: String): Expr = e match {
-      case Ref(`v`)        => Ref(ElemVar)
-      case BinOp(o, l, r)  => BinOp(o, rename(l, v), rename(r, v))
-      case UnOp(o, b)      => UnOp(o, rename(b, v))
-      case FieldAcc(b, f)  => FieldAcc(rename(b, v), f)
-      case TupleE(es)      => TupleE(es.map(rename(_, v)))
-      case CallE(f, as)    => CallE(f, as.map(rename(_, v)))
-      case Index(a, idx)   => Index(a, idx.map(rename(_, v)))
-      case other           => other
+      case Ref(`v`) => Ref(ElemVar)
+      case _        => Ast.mapChildren(e)(rename(_, v))
     }
     def dest(d: LVal, elem: Option[String]): Unit = d match {
       case LIndex(_, idx) => idx.foreach(i => subexprs(ren(i, elem)))
@@ -276,14 +262,9 @@ object CasperSim {
     out += Ref(ElemVar)
     out += IntLit(1)
     def closed(e: Expr): Boolean = e match {
-      case Index(_, _)    => false
-      case Ref(n)         => n == ElemVar || scalarNames(n)
-      case BinOp(_, l, r) => closed(l) && closed(r)
-      case UnOp(_, b)     => closed(b)
-      case FieldAcc(b, _) => closed(b)
-      case TupleE(es)     => es.forall(closed)
-      case CallE(_, as)   => as.forall(closed)
-      case _              => true
+      case Index(_, _) => false
+      case Ref(n)      => n == ElemVar || scalarNames(n)
+      case _           => Ast.children(e).forall(closed)
     }
     out.toList.filter(closed).distinct
   }

@@ -141,13 +141,7 @@ object MoldSim {
     * `V[W[i]]` requires a join and has no MOLD template.
     */
   private def zippable(e: Expr): Boolean = e match {
-    case Index(_, idx) =>
-      idx.forall { case Ref(_) => true; case _ => false }
-    case FieldAcc(b, _)   => zippable(b)
-    case BinOp(_, l, r)   => zippable(l) && zippable(r)
-    case UnOp(_, b)       => zippable(b)
-    case TupleE(es)       => es.forall(zippable)
-    case CallE(_, as)     => as.forall(zippable)
-    case _                => true
+    case Index(_, idx) => idx.forall { case Ref(_) => true; case _ => false }
+    case _             => children(e).forall(zippable)
   }
 }

@@ -96,9 +96,7 @@ object Analysis {
         position += 1
     }
 
-    // the loop's own binding: handled inside visit
-    val loopIndexVars: Set[String] = Set.empty
-    visit(loop, Set.empty, loopIndexVars)
+    visit(loop, Set.empty, Set.empty)
     val es = entries.result()
     val loopVarUniverse: Set[String] = es.flatMap(_.context).toSet
 
@@ -132,14 +130,8 @@ object Analysis {
     */
   private def lvalReads(e: Expr, loopVars: Set[String]): List[LVal] = e match {
     case Ref(n) => if (loopVars(n)) Nil else List(LVar(n))
-    case Index(a, idx) =>
-      LIndex(a, idx) :: idx.flatMap(lvalReads(_, loopVars))
-    case FieldAcc(b, _)   => lvalReads(b, loopVars)
-    case BinOp(_, l, r)   => lvalReads(l, loopVars) ++ lvalReads(r, loopVars)
-    case UnOp(_, b)       => lvalReads(b, loopVars)
-    case TupleE(es)       => es.flatMap(lvalReads(_, loopVars))
-    case CallE(_, args)   => args.flatMap(lvalReads(_, loopVars))
-    case _                => Nil
+    case Index(a, idx) => LIndex(a, idx) :: idx.flatMap(lvalReads(_, loopVars))
+    case _ => children(e).flatMap(lvalReads(_, loopVars))
   }
 
   /** Index expressions of a destination are themselves reads. */
@@ -192,14 +184,8 @@ object Analysis {
   }
 
   private def vars(e: Expr): Set[String] = e match {
-    case Ref(n)           => Set(n)
-    case Index(_, idx)    => idx.flatMap(vars).toSet
-    case FieldAcc(b, _)   => vars(b)
-    case BinOp(_, l, r)   => vars(l) ++ vars(r)
-    case UnOp(_, b)       => vars(b)
-    case TupleE(es)       => es.flatMap(vars).toSet
-    case CallE(_, args)   => args.flatMap(vars).toSet
-    case _                => Set.empty
+    case Ref(n) => Set(n)
+    case _      => children(e).flatMap(vars).toSet
   }
 
   // ------------------------------------------------------------- display

@@ -48,6 +48,30 @@ object Ast {
     */
   final case class CallE(f: String, args: List[Expr]) extends Expr
 
+  /** Direct subexpressions of an expression, left to right. */
+  def children(e: Expr): List[Expr] = e match {
+    case Index(_, idx)  => idx
+    case FieldAcc(b, _) => List(b)
+    case BinOp(_, l, r) => List(l, r)
+    case UnOp(_, b)     => List(b)
+    case TupleE(es)     => es
+    case CallE(_, as)   => as
+    case IntLit(_) | DoubleLit(_) | BoolLit(_) | StringLit(_) | Ref(_) => Nil
+  }
+
+  /** Rebuild an expression with `f` applied to its direct subexpressions,
+    * left to right.
+    */
+  def mapChildren(e: Expr)(f: Expr => Expr): Expr = e match {
+    case Index(a, idx)   => Index(a, idx.map(f))
+    case FieldAcc(b, fl) => FieldAcc(f(b), fl)
+    case BinOp(op, l, r) => BinOp(op, f(l), f(r))
+    case UnOp(op, b)     => UnOp(op, f(b))
+    case TupleE(es)      => TupleE(es.map(f))
+    case CallE(g, as)    => CallE(g, as.map(f))
+    case IntLit(_) | DoubleLit(_) | BoolLit(_) | StringLit(_) | Ref(_) => e
+  }
+
   /** L-values (destinations). Field destinations are not needed by any
     * benchmark and are rejected by the parser.
     */

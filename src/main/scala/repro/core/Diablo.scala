@@ -23,8 +23,4 @@ object Diablo {
     if (errs.nonEmpty) throw RestrictionError(errs)
     Optimize.optimize(Translate.translate(ast, inputs))
   }
-
-  /** Restriction check only. */
-  def check(src: String): List[Analysis.Violation] =
-    Analysis.check(Parser.parse(src))
 }

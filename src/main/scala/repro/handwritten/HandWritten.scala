@@ -27,8 +27,6 @@ object HandWritten {
 
   def average(v: DataFrame): Double = v.agg(avg("v")).head.getDouble(0)
 
-  def conditionalCount(v: DataFrame): Long = v.filter(col("v") < 100.0).count()
-
   /** All values equal to w0. */
   def equal(w: DataFrame, w0: String): Boolean =
     w.agg(coalesce(min(col("v") === w0), lit(true))).head.getBoolean(0)

@@ -144,7 +144,7 @@ object LocalBackend {
       val vs = args.map(evalExpr(_, env, scalar))
       f match {
         case "sqrt" => math.sqrt(toD(vs.head))
-        case "abs"  => vs.head match { case l: Long => math.abs(l); case d => math.abs(toD(d)) }
+        case "abs"  => vs.head match { case l: Long => Math.absExact(l); case d => math.abs(toD(d)) }
         case "pow"  => math.pow(toD(vs(0)), toD(vs(1)))
         case "exp"  => math.exp(toD(vs.head))
         case "log"  => math.log(toD(vs.head))

@@ -1,6 +1,6 @@
 package repro.programs
 
-import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
+import repro.local.LocalBackend.{ArrayD, Rec}
 import scala.util.Random
 
 /** Deterministic synthetic data for the benchmark programs of §6.
@@ -131,6 +131,4 @@ object BenchData {
     }
     ArrayD(entries.toMap, 1)
   }
-
-  def scalar(v: Any): Data = ScalarD(v)
 }

@@ -167,7 +167,9 @@ object SparkBackend {
           case "abs"  => abs(cs.head)
           case "pow"  => pow(cs(0), cs(1))
           case "exp"  => exp(cs.head)
-          case "log"  => log(cs.head)
+          // Spark's log is NULL for x <= 0; the local backend's is Java's
+          case "log"  => when(cs.head > 0, log(cs.head))
+            .when(cs.head === 0, Double.NegativeInfinity).otherwise(Double.NaN)
           case "min"  => least(cs(0), cs(1))
           case "max"  => greatest(cs(0), cs(1))
           case other  => throw new IllegalArgumentException(s"unknown function $other")

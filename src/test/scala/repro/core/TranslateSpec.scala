@@ -166,6 +166,28 @@ class TranslateSpec extends AnyFunSuite {
       CTup(List(CVar("_r2"), CVar("_r1")))))
   }
 
+  test("Ast.children and Ast.mapChildren visit every source expression form left to right") {
+    import Ast._
+    val e = TupleE(List(
+      BinOp("+", Index("V", List(Ref("i"), IntLit(1))), UnOp("-", DoubleLit(2.0))),
+      FieldAcc(CallE("f", List(Ref("a"), BoolLit(true))), "x"),
+      StringLit("s")))
+    def leaves(x: Expr): List[Expr] = Ast.children(x) match {
+      case Nil => List(x)
+      case cs  => cs.flatMap(leaves)
+    }
+    assert(leaves(e) ==
+      List(Ref("i"), IntLit(1), DoubleLit(2.0), Ref("a"), BoolLit(true), StringLit("s")))
+
+    var n = 0
+    def number(x: Expr): Expr =
+      if (Ast.children(x).isEmpty) { n += 1; Ref(s"_$n") } else Ast.mapChildren(x)(number)
+    assert(number(e) == TupleE(List(
+      BinOp("+", Index("V", List(Ref("_1"), Ref("_2"))), UnOp("-", Ref("_3"))),
+      FieldAcc(CallE("f", List(Ref("_4"), Ref("_5"))), "x"),
+      Ref("_6"))))
+  }
+
   // ----------------------------------------------------------- optimizer
 
   test("range elimination: V[i] := W[i] becomes a traversal with inRange") {

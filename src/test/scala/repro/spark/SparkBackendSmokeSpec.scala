@@ -99,29 +99,50 @@ class SparkBackendSmokeSpec extends SparkSpec {
     assertAgree("fused while", code, data, List("k", "s", "m"))
   }
 
-  test("long overflow raises on both backends") {
-    val code = Diablo.compile("var s: long = 0; for v in V do s += v * v;",
-      Map("V" -> ArraySig(1)))
-    val data = Map("V" -> ArrayD(Map(List[Any](0L) -> (1L << 40)), 1))
-    intercept[ArithmeticException](LocalBackend.run(code, data))
+  /** `src` compiled for an input vector V, and V holding `vs`. */
+  private def overV(src: String, vs: Any*): (List[TStmt], Map[String, Data]) =
+    (Diablo.compile(src, Map("V" -> ArraySig(1))),
+     Map("V" -> ArrayD(vs.zipWithIndex.map { case (v, i) => List[Any](i.toLong) -> v }.toMap, 1)))
+
+  private def assertRaisesOnSpark(code: List[TStmt], data: Map[String, Data],
+                                  error: String): Unit = {
     val e = intercept[Exception](
       SparkBackend.run(code, SparkBackend.fromLocal(spark, data), spark))
     assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
-      .exists(x => String.valueOf(x.getMessage).contains("ARITHMETIC_OVERFLOW")), e)
+      .exists(x => String.valueOf(x.getMessage).contains(error)), e)
+  }
+
+  test("long overflow raises on both backends") {
+    for ((src, v) <- List(
+        ("var s: long = 0; for v in V do s += v * v;", 1L << 40),
+        ("var s: long = 0; for v in V do s += abs(v);", Long.MinValue))) {
+      val (code, data) = overV(src, v)
+      intercept[ArithmeticException](LocalBackend.run(code, data))
+      assertRaisesOnSpark(code, data, "ARITHMETIC_OVERFLOW")
+    }
   }
 
   test("division by zero raises on both backends") {
     for ((src, v, error) <- List(
         ("var s: double = 0.0; for v in V do s += v / 0.0;", 2.0, "DIVIDE_BY_ZERO"),
         ("var s: long = 0; for v in V do s += v % 0;", 2L, "REMAINDER_BY_ZERO"))) {
-      val code = Diablo.compile(src, Map("V" -> ArraySig(1)))
-      val data = Map("V" -> ArrayD(Map(List[Any](0L) -> v), 1))
+      val (code, data) = overV(src, v)
       assert(intercept[ArithmeticException](LocalBackend.run(code, data))
         .getMessage.contains(error))
-      val e = intercept[Exception](
-        SparkBackend.run(code, SparkBackend.fromLocal(spark, data), spark))
-      assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
-        .exists(x => String.valueOf(x.getMessage).contains(error)), e)
+      assertRaisesOnSpark(code, data, error)
+    }
+  }
+
+  test("log of zero and of a negative number gives Java's values on both backends") {
+    for ((x, expected) <- List(0.0 -> Double.NegativeInfinity, -1.0 -> Double.NaN)) {
+      val (code, data) = overV("var s: double = 0.0; for v in V do s += log(v);", 1.0, x)
+      val ScalarD(local) = LocalBackend.run(code, data)("s"): @unchecked
+      val SparkBackend.SScalar(onSpark) =
+        SparkBackend.run(code, SparkBackend.fromLocal(spark, data), spark)("s"): @unchecked
+      // compare, not ==: NaN is not == NaN
+      for (v <- List(local, onSpark))
+        assert(java.lang.Double.compare(v.asInstanceOf[Double], expected) == 0,
+          s"log($x): local $local, Spark $onSpark")
     }
   }
 
