@@ -2,7 +2,7 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{CasperSim, MoldSim}
-import repro.core.{Diablo, Optimize, Parser, Translate}
+import repro.core.Diablo
 import repro.local.LocalBackend
 import repro.programs.Benchmarks
 import repro.programs.Benchmarks.ProgramSpec
@@ -55,9 +55,7 @@ object Harness {
       casperPaper: String, casperSim: String,
       diabloPaper: String, diabloMs: Double)
 
-  def diabloCompileMs(p: ProgramSpec): Double = timeMs(4) {
-    Optimize.optimize(Translate.translate(Parser.parse(p.source), p.sigs))
-  }
+  def diabloCompileMs(p: ProgramSpec): Double = timeMs(4)(Diablo.compile(p.source, p.sigs))
 
   def table1(casperBudgetMs: Long = 60000): List[Table1Row] =
     Benchmarks.table1.map { p =>

@@ -14,9 +14,6 @@ import Translate._
   *  - *Rule 17*: a group-by whose key is unique (covers the index variables
   *    of all generators, so every group is a singleton) is removed; each
   *    reduction ⊕/e degenerates to e.
-  *  - A final *reorder* pass moves predicates and let-bindings to the
-  *    earliest point where their variables are bound, so backends can
-  *    evaluate qualifiers strictly left-to-right.
   */
 object Optimize {
 
@@ -26,14 +23,8 @@ object Optimize {
     case other            => other
   }
 
-  def optimizeComp(c: Comp): Comp = {
-    var cur = c
-    cur = eliminateRanges(cur)
-    cur = constantKeyGroup(cur)
-    cur = uniqueKeyGroup(cur)
-    cur = Comp(cur.head, reorder(cur.quals))
-    cur
-  }
+  def optimizeComp(c: Comp): Comp =
+    uniqueKeyGroup(constantKeyGroup(eliminateRanges(c)))
 
   // ------------------------------------------------- §3.6 range elimination
 
@@ -140,51 +131,5 @@ object Optimize {
       val (ra, rb) = (find(a), find(b))
       if (ra != rb) parent(ra) = rb
     }
-  }
-
-  // ------------------------------------------------------------- reorder
-
-  /** Move predicates and let-bindings to the earliest position where their
-    * free variables are bound; binding qualifiers (generators, group-bys,
-    * lookups) keep their relative order. Backends can then evaluate
-    * qualifiers strictly left-to-right.
-    */
-  def reorder(quals: List[Qual]): List[Qual] = {
-    val floating = scala.collection.mutable.ArrayBuffer.empty[Qual]
-    val out      = scala.collection.mutable.ArrayBuffer.empty[Qual]
-    var bound    = Set.empty[String]
-
-    def ready(q: Qual): Boolean = q match {
-      case QPred(e)    => freeVars(e).subsetOf(bound)
-      case QLet(_, e)  => freeVars(e).subsetOf(bound)
-      case _           => true
-    }
-    def flush(): Unit = {
-      var progress = true
-      while (progress) {
-        progress = false
-        val i = floating.indexWhere(ready)
-        if (i >= 0) {
-          val q = floating.remove(i)
-          out += q
-          bound ++= boundVars(q)
-          progress = true
-        }
-      }
-    }
-
-    for (q <- quals) q match {
-      case _: QPred | _: QLet =>
-        if (ready(q)) { out += q; bound ++= boundVars(q) }
-        else floating += q
-      case binding =>
-        out += binding
-        bound ++= boundVars(binding)
-        flush()
-    }
-    flush()
-    require(floating.isEmpty,
-      s"unbound qualifiers: ${floating.map(Comprehension.show).mkString("; ")}")
-    out.toList
   }
 }

@@ -118,6 +118,15 @@ object Parser {
       case _                         => fail("expected identifier")
     }
 
+    /** `first`, then `item` after each comma, then the symbol `close`. */
+    private def commaList[A](first: A, close: String)(item: => A): List[A] = {
+      val xs = List.newBuilder[A]
+      xs += first
+      while (isSym(",")) { next(); xs += item }
+      eatSym(close)
+      xs.result()
+    }
+
     def program(): List[Stmt] = {
       val ss = List.newBuilder[Stmt]
       while (!peek.isInstanceOf[TEof]) ss += stmt()
@@ -189,27 +198,13 @@ object Parser {
 
     private def lval(): LVal = {
       val name = ident()
-      if (isSym("[")) {
-        next()
-        val idx = List.newBuilder[Expr]
-        idx += expr()
-        while (isSym(",")) { next(); idx += expr() }
-        eatSym("]")
-        LIndex(name, idx.result())
-      } else LVar(name)
+      if (isSym("[")) { next(); LIndex(name, commaList(expr(), "]")(expr())) }
+      else LVar(name)
     }
 
-    def tpe(): Type = {
-      if (isSym("(")) { // tuple type
-        next()
-        val ts = List.newBuilder[Type]
-        ts += tpe()
-        while (isSym(",")) { next(); ts += tpe() }
-        eatSym(")")
-        return TupleT(ts.result())
-      }
-      val name = ident()
-      name match {
+    def tpe(): Type =
+      if (isSym("(")) { next(); TupleT(commaList(tpe(), ")")(tpe())) }
+      else ident() match {
         case "int"                => IntT
         case "long"               => LongT
         case "double" | "float"   => DoubleT
@@ -226,7 +221,6 @@ object Parser {
           if (isSym("(")) fail(s"unknown type constructor $other")
           else fail(s"unknown type $other")
       }
-    }
 
     // expression precedence: || < && < cmp < add < mul < unary < postfix
     def expr(): Expr = orE()
@@ -284,13 +278,7 @@ object Parser {
           e = FieldAcc(e, f)
         } else if (isSym("[")) {
           e match {
-            case Ref(name) =>
-              next()
-              val idx = List.newBuilder[Expr]
-              idx += expr()
-              while (isSym(",")) { next(); idx += expr() }
-              eatSym("]")
-              e = Index(name, idx.result())
+            case Ref(name) => next(); e = Index(name, commaList(expr(), "]")(expr()))
             case _ => fail("indexing applies to array names only")
           }
         } else done = true
@@ -308,24 +296,13 @@ object Parser {
         next()
         if (isSym("(")) {
           next()
-          val args = List.newBuilder[Expr]
-          if (!isSym(")")) {
-            args += expr()
-            while (isSym(",")) { next(); args += expr() }
-          }
-          eatSym(")")
-          CallE(name, args.result())
+          CallE(name, if (isSym(")")) { next(); Nil } else commaList(expr(), ")")(expr()))
         } else Ref(name)
       case TSym("(", _) =>
         next()
         val e1 = expr()
-        if (isSym(",")) {
-          val es = List.newBuilder[Expr]
-          es += e1
-          while (isSym(",")) { next(); es += expr() }
-          eatSym(")")
-          TupleE(es.result())
-        } else { eatSym(")"); e1 }
+        if (isSym(",")) TupleE(commaList(e1, ")")(expr()))
+        else { eatSym(")"); e1 }
       case t => fail(s"unexpected token $t")
     }
   }

@@ -6,12 +6,16 @@ import Comprehension._
   *
   * The qualifiers become steps, split at the group-by: generators become
   * scans, a group-by becomes a group-by-aggregate over the reductions
-  * extracted from the head. Each generator carries the later conditions
-  * (up to the group-by) whose variables are all bound once it has run and
-  * that mention at least one of its own: a backend filters or joins with
-  * them at the generator. The other conditions stay where they are. A scan
-  * that re-reads an element an earlier scan of the same step list bound
-  * reads that scan's element instead (see `reuse`).
+  * extracted from the head. The steps before the group-by and those after
+  * it are placed separately, each by one rule: the next step is the first
+  * remaining qualifier that is a binder (a generator or a lookup) or whose
+  * variables are all bound, so a condition or let waits until they are; a
+  * qualifier whose variables never become bound is an error. Each
+  * generator carries the remaining conditions whose variables are all
+  * bound once it has run and that mention at least one of its own: a
+  * backend filters or joins with them at the generator. A scan that
+  * re-reads an element an earlier scan of the same step list bound reads
+  * that scan's element instead (see `reuse`).
   */
 final case class Plan(pre: List[Plan.Step], group: Option[Plan.Group],
                       post: List[Plan.Step], head: List[CExpr]) {
@@ -137,21 +141,33 @@ object Plan {
     }
   }
 
-  /** Steps of a group-free qualifier list evaluated with `bound0` bound. */
+  /** Steps of a group-free qualifier list evaluated with `bound0` bound,
+    * placed by the rule in `Plan`'s description.
+    */
   private def steps(quals: List[Qual], bound0: Set[String]): List[Step] = {
-    val qs = quals.toVector
-    val carried = scala.collection.mutable.Set.empty[Int]
+    var rest = quals.toVector
     var bound = bound0
+    def ready(q: Qual): Boolean = q match {
+      case QPred(e)   => freeVars(e).subsetOf(bound)
+      case QLet(_, e) => freeVars(e).subsetOf(bound)
+      case _          => true
+    }
     val out = List.newBuilder[Step]
-    for ((q, i) <- qs.zipWithIndex if !carried(i)) {
+    while (rest.nonEmpty) {
+      val i = rest.indexWhere(ready)
+      if (i < 0) throw new IllegalArgumentException(
+        s"unbound qualifiers: ${rest.map(show).mkString("; ")}")
+      val q = rest(i)
+      rest = rest.patch(i, Nil, 1)
+      // the remaining conditions `vs` complete and that mention one of them
       def carry(vs: List[String]): List[CExpr] = {
         val after = bound ++ vs
-        (i + 1 until qs.length).toList.flatMap { j => qs(j) match {
-          case QPred(e) if !carried(j) && freeVars(e).subsetOf(after) &&
-              vs.exists(freeVars(e)) =>
-            carried += j; Some(e)
-          case _ => None
-        }}
+        val (carried, left) = rest.partition {
+          case QPred(e) => freeVars(e).subsetOf(after) && vs.exists(freeVars(e))
+          case _        => false
+        }
+        rest = left
+        carried.toList.collect { case QPred(e) => e }
       }
       q match {
         case Gen(PVar(v), CRange(lo, hi)) => out += RangeGen(v, lo, hi, carry(List(v)))

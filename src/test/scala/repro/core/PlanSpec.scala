@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.core.Comprehension._
 import repro.core.Plan._
 import repro.programs.Benchmarks
-import repro.spark.SparkTestUtil
+import repro.spark.{SparkBackendSmokeSpec, SparkTestUtil}
 
 /** The comprehension plan shared by both backends: which generator carries
   * which condition, which of them are scan keys, and where the group-by
@@ -75,12 +75,51 @@ class PlanSpec extends SparkSpec {
   }
 
   test("malformed generators and let patterns are rejected") {
-    assert(intercept[IllegalArgumentException](
-      Plan.plan(Comp(CVar("x"), List(Gen(PVar("x"), CArr("A")))))
-    ).getMessage.contains("bad generator"))
-    assert(intercept[IllegalArgumentException](
-      Plan.plan(Comp(CVar("x"), List(QLet(PTup(List(PVar("x"))), CLit(1L)))))
-    ).getMessage.contains("unsupported let pattern"))
+    for ((quals, error) <- List(
+        (List(Gen(PVar("x"), CArr("A"))), "bad generator"),
+        (List(QLet(PTup(List(PVar("x"))), CLit(1L))), "unsupported let pattern"),
+        // a condition on a never-bound variable
+        (List(scan("i", "x", "A"), QPred(CBin(">", CVar("y"), CLit(0L)))),
+          "unbound qualifiers: (y > 0)")))
+      assert(intercept[IllegalArgumentException](Plan.plan(Comp(CVar("x"), quals)))
+        .getMessage.contains(error), error)
+  }
+
+  /** Fails unless every step of `p` reads only variables bound before it. */
+  private def assertEvaluable(label: String, p: Plan): Unit = {
+    var bound = Set.empty[String]
+    def reads(xs: List[CExpr]): Unit = for (x <- xs)
+      assert(freeVars(x).subsetOf(bound), s"$label: ${Comprehension.show(x)} in\n${p.show}")
+    def run(steps: List[Step]): Unit = steps.foreach {
+      case RangeGen(v, lo, hi, conds) => reads(List(lo, hi)); bound += v; reads(conds)
+      case s: Scan               => reads(s.keyExprs); bound ++= s.vars; reads(s.conds)
+      case Let(v, e)             => reads(List(e)); bound += v
+      case Cond(e)               => reads(List(e))
+      case Lookup(v, _, ks, _)   => reads(ks.map(CVar)); bound += v
+    }
+    run(p.pre)
+    for (Group(kvars, keys, reds) <- p.group) {
+      reads(keys ++ reds.map(_._3))
+      bound = (kvars ++ reds.map(_._1)).toSet
+    }
+    run(p.post)
+    reads(p.head)
+  }
+
+  private def comps(ts: List[Translate.TStmt]): List[Comp] = ts.flatMap {
+    case Translate.TAssign(_, c, _) => List(c)
+    case Translate.TWhileS(c, body) => c :: comps(body)
+    case _                          => Nil
+  }
+
+  test("every step reads only variables bound before it") {
+    val programs = Benchmarks.all.map(p => (p.name, p.source, p.sigs)) ++
+      SparkBackendSmokeSpec.shiftedReads.map { case (src, _, _) =>
+        (src, src, SparkBackendSmokeSpec.shiftedSigs) }
+    for ((name, src, sigs) <- programs;
+         code <- List(Translate.translate(Parser.parse(src), sigs), Diablo.compile(src, sigs));
+         c <- comps(code))
+      assertEvaluable(name, Plan.plan(c))
   }
 
   private def scanCount(steps: List[Step]): Int = steps.count(_.isInstanceOf[Scan])

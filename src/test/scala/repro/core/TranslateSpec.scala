@@ -233,19 +233,4 @@ class TranslateSpec extends AnyFunSuite {
       case TAssign("R", c, true) if lookups(c).nonEmpty => c }.head
     assert(!gens(incr).exists { case Gen(_, CRange(_, _)) => true; case _ => false })
   }
-
-  test("reorder keeps qualifiers evaluable left-to-right") {
-    for (p <- repro.programs.Benchmarks.all;
-         TAssign(_, c, _) <- Diablo.compile(p.source, p.sigs)) {
-      var bound = Set.empty[String]
-      for (q <- c.quals) {
-        q match {
-          case QPred(e)   => assert(freeVars(e).subsetOf(bound), s"${p.name}: ${Comprehension.show(c)}")
-          case QLet(_, e) => assert(freeVars(e).subsetOf(bound), s"${p.name}: ${Comprehension.show(c)}")
-          case _          => ()
-        }
-        bound ++= boundVars(q)
-      }
-    }
-  }
 }

@@ -69,6 +69,19 @@ object TranslationProperties extends Properties("Translation") {
         close(got(List(i.toLong)).asInstanceOf[Double], a(i) + b(i)))
     }
 
+  property("V[i] += W[i+1] * W[i] equals the loop") =
+    forAll(Gen.choose(1, 30), Gen.long) { (n, seed) =>
+      val r = new scala.util.Random(seed)
+      val v = Vector.fill(n)(r.nextDouble())
+      val w = Vector.fill(n + 1)(r.nextDouble())
+      val code = Diablo.compile(s"for i = 0, ${n - 1} do V[i] += W[i+1] * W[i];",
+        Map("V" -> ArraySig(1), "W" -> ArraySig(1)))
+      val got = LocalBackend.run(code, Map("V" -> vecOf(v), "W" -> vecOf(w)))("V")
+        .asInstanceOf[ArrayD].m
+      got.size == n && (0 until n).forall(i =>
+        close(got(List(i.toLong)).asInstanceOf[Double], v(i) + w(i + 1) * w(i)))
+    }
+
   property("parallel and sequential agree on group-by sums") =
     forAll(Gen.nonEmptyListOf(Gen.zip(Gen.choose(0L, 5L), Gen.choose(-10.0, 10.0)))) { kvs =>
       val recs = kvs.map { case (k, a) => Rec(Vector("K" -> k, "A" -> a)): Any }

@@ -99,6 +99,16 @@ class SparkBackendSmokeSpec extends SparkSpec {
     assertAgree("fused while", code, data, List("k", "s", "m"))
   }
 
+  test("a read shifted by one index gives the loop's values on every backend") {
+    import SparkBackendSmokeSpec._
+    for ((src, out, expected) <- shiftedReads) {
+      val code = Diablo.compile(src, shiftedSigs)
+      for (par <- List(false, true))
+        assert(LocalBackend.run(code, shiftedData, par)(out) == expected, s"$src, par = $par")
+      assertAgree(src, code, shiftedData, List(out))
+    }
+  }
+
   /** `src` compiled for an input vector V, and V holding `vs`. */
   private def overV(src: String, vs: Any*): (List[TStmt], Map[String, Data]) =
     (Diablo.compile(src, Map("V" -> ArraySig(1))),
@@ -143,6 +153,7 @@ class SparkBackendSmokeSpec extends SparkSpec {
       for (v <- List(local, onSpark))
         assert(java.lang.Double.compare(v.asInstanceOf[Double], expected) == 0,
           s"log($x): local $local, Spark $onSpark")
+      assertAgree(s"log($x)", code, data, List("s"))
     }
   }
 
@@ -306,4 +317,24 @@ class SparkBackendSmokeSpec extends SparkSpec {
   test("KMeans on Spark")         { assertAgree("KMeans", 60) }
   test("PCA on Spark")            { assertAgree("PCA", 20) }
   test("Matrix Factorization on Spark") { assertAgree("Matrix Factorization", 8) }
+}
+
+object SparkBackendSmokeSpec {
+
+  /** Loops that read W at i+1 and at i, with W[i] = 10i+1 for i = 0..5 and
+    * n = 5: each source, its output and the output's value.
+    */
+  val shiftedReads: List[(String, String, Data)] = {
+    def from(i0: Int, vs: Double*): Data =
+      ArrayD(vs.zipWithIndex.map { case (v, i) => List[Any]((i0 + i).toLong) -> v }.toMap, 1)
+    List(
+      ("for i = 0, n-1 do V[i] += W[i+1] * W[i];", "V", from(0, 11, 231, 651, 1271, 2091)),
+      ("var s: double = 0.0; for i = 0, n-1 do s += W[i+1] * W[i];", "s", ScalarD(4255.0)),
+      ("for i = 0, n-1 do if (W[i+1] > 15.0) V[i] += W[i];", "V", from(1, 11, 21, 31, 41)),
+      ("for i = 0, n-1 do V[i] := W[i+1] + W[i];", "V", from(0, 12, 32, 52, 72, 92)))
+  }
+  val shiftedSigs: Map[String, Sig] =
+    Map("V" -> ArraySig(1), "W" -> ArraySig(1), "n" -> ScalarSig)
+  val shiftedData: Map[String, Data] = Map("V" -> ArrayD(Map.empty, 1), "n" -> ScalarD(5L),
+    "W" -> ArrayD((0 to 5).map(i => List[Any](i.toLong) -> (10.0 * i + 1)).toMap, 1))
 }

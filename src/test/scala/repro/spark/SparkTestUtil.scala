@@ -31,13 +31,15 @@ object SparkTestUtil {
     st(name).asInstanceOf[SScalar].v
 
   def assertSameValue(name: String, a: Any, b: Any): Unit = (a, b) match {
-    case (x: Double, y: Double) =>
-      assert(math.abs(x - y) <= 1e-6 * (1.0 + math.abs(x)), name)
+    case (x: Double, y: Double) => // x - y is NaN for equal infinities
+      assert(x == y || (x.isNaN && y.isNaN) || math.abs(x - y) <= 1e-6 * (1.0 + math.abs(x)),
+        s"$name: $x != $y")
     case (x, y) => assert(x == y, name)
   }
 
   /** Run `code` on the sequential local backend and on Spark; every output
-    * must agree (doubles to a relative 1e-6).
+    * must agree (doubles to a relative 1e-6, or equal: the same infinity or
+    * both NaN).
     */
   def assertAgree(spark: SparkSession, label: String, code: List[TStmt],
                   data: Map[String, Data], outputs: List[String]): Unit = {
