@@ -76,6 +76,17 @@ object CasperSim {
 
     def overBudget: Boolean = System.nanoTime > deadline
 
+    val reds = for (p <- preds; m <- monoids; f <- valFrags) yield (p, m, f)
+    val arithOps = List("+", "-", "*", "/")
+    /** The compositions of `k` reductions `(pred, monoid, fragment)` and
+      * the `k - 1` operators between them, left to right, the first
+      * reduction varying slowest.
+      */
+    def chains(k: Int): Iterator[(List[(Option[CExpr], Monoid, CExpr)], List[String])] =
+      if (k == 1) reds.iterator.map(r => (List(r), Nil))
+      else for ((rs, ops) <- chains(k - 1); op <- arithOps.iterator; r <- reds.iterator)
+        yield (rs :+ r, ops :+ op)
+
     // ---- candidate evaluators ------------------------------------------
     def reduceCand(pred: Option[CExpr], m: Monoid, f: CExpr,
                    data: Map[String, Data]): Any = {
@@ -129,7 +140,6 @@ object CasperSim {
       }
 
       val isMapOutput = expectedKind.isInstanceOf[ArrayD]
-      val arithOps = List("+", "-", "*", "/")
 
       if (isMapOutput) {
         // map outputs: groupBy · fold pipelines only (type-directed search)
@@ -170,44 +180,20 @@ object CasperSim {
           }
         })) return Synthesized(tried)
       }
-      // phase D: arithmetic composition of two reductions
-      for (p1 <- preds; m1 <- monoids; f1 <- valFrags;
-           op <- arithOps;
-           p2 <- preds; m2 <- monoids; f2 <- valFrags) {
+      // phases D, E and F: arithmetic compositions of two, three and four
+      // reductions; four is the budget burner for programs whose outputs
+      // (e.g. regression coefficients) are out of grammar
+      for (k <- 2 to 4; (rs, ops) <- chains(k)) {
         if ((tried & 1023) == 0 && overBudget) return Timeout(tried)
-        if (validate(d => LocalBackend.arith(op,
-              reduceCand(p1, m1, f1, d), reduceCand(p2, m2, f2, d))))
-          return Synthesized(tried)
-      }
-      // phase E: three-way compositions
-      for (p1 <- preds; m1 <- monoids; f1 <- valFrags;
-           op1 <- arithOps;
-           p2 <- preds; m2 <- monoids; f2 <- valFrags;
-           op2 <- arithOps;
-           p3 <- preds; m3 <- monoids; f3 <- valFrags) {
-        if ((tried & 1023) == 0 && overBudget) return Timeout(tried)
-        if (validate(d => LocalBackend.arith(op2,
-              LocalBackend.arith(op1,
-                reduceCand(p1, m1, f1, d), reduceCand(p2, m2, f2, d)),
-              reduceCand(p3, m3, f3, d))))
-          return Synthesized(tried)
-      }
-      // phase F: four-way compositions — the budget burner for programs
-      // whose outputs (e.g. regression coefficients) are out of grammar
-      for (p1 <- preds; m1 <- monoids; f1 <- valFrags;
-           op1 <- arithOps;
-           p2 <- preds; m2 <- monoids; f2 <- valFrags;
-           op2 <- arithOps;
-           p3 <- preds; m3 <- monoids; f3 <- valFrags;
-           op3 <- arithOps;
-           p4 <- preds; m4 <- monoids; f4 <- valFrags) {
-        if ((tried & 1023) == 0 && overBudget) return Timeout(tried)
-        if (validate(d => LocalBackend.arith(op2,
-              LocalBackend.arith(op1,
-                reduceCand(p1, m1, f1, d), reduceCand(p2, m2, f2, d)),
-              LocalBackend.arith(op3,
-                reduceCand(p3, m3, f3, d), reduceCand(p4, m4, f4, d)))))
-          return Synthesized(tried)
+        if (validate(d => {
+          val vs = rs.map { case (p, m, f) => reduceCand(p, m, f, d) }
+          def ar(i: Int, a: Any, b: Any) = LocalBackend.arith(ops(i), a, b)
+          (vs: @unchecked) match {
+            case List(r1, r2)         => ar(0, r1, r2)
+            case List(r1, r2, r3)     => ar(1, ar(0, r1, r2), r3)
+            case List(r1, r2, r3, r4) => ar(1, ar(0, r1, r2), ar(2, r3, r4))
+          }
+        })) return Synthesized(tried)
       }
       Failed(s"output $out: grammar exhausted", tried)
     }

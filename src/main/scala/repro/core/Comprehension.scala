@@ -44,12 +44,12 @@ object Comprehension {
   /** Default value for a missing old value in a 𝒟-lookup: the monoid
     * identity. Min/Max have no identity and use null-skipping combines.
     */
-  sealed trait Default
-  case object DZero  extends Default
-  case object DOne   extends Default
-  case object DTrue  extends Default
-  case object DFalse extends Default
-  case object DNull  extends Default
+  sealed abstract class Default(val value: Any)
+  case object DZero  extends Default(0L)
+  case object DOne   extends Default(1L)
+  case object DTrue  extends Default(true)
+  case object DFalse extends Default(false)
+  case object DNull  extends Default(null)
 
   def defaultOf(m: Monoid): Default = m match {
     case MSum  => DZero

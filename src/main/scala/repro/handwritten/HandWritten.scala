@@ -17,15 +17,8 @@ object HandWritten {
   /** V.filter(_ < 100).sum */
   def conditionalSum(v: DataFrame): Double =
     v.filter(col("v") < 100.0)
-      .agg(coalesce(org.apache.spark.sql.functions.sum("v"), lit(0.0)))
+      .agg(coalesce(sum("v"), lit(0.0)))
       .head.getDouble(0)
-
-  def count(v: DataFrame): Long = v.count()
-
-  def sum(v: DataFrame): Double =
-    v.agg(coalesce(org.apache.spark.sql.functions.sum("v"), lit(0.0))).head.getDouble(0)
-
-  def average(v: DataFrame): Double = v.agg(avg("v")).head.getDouble(0)
 
   /** All values equal to w0. */
   def equal(w: DataFrame, w0: String): Boolean =
@@ -66,7 +59,7 @@ object HandWritten {
   /** groupBy K, sum A (v struct with K, A). */
   def groupBy(v: DataFrame): DataFrame =
     v.groupBy(col("v").getField("K").as("k1"))
-      .agg(org.apache.spark.sql.functions.sum(col("v").getField("A")).as("v"))
+      .agg(sum(col("v").getField("A")).as("v"))
 
   /** M + N by joining on both indexes. */
   def matrixAddition(m: DataFrame, n: DataFrame): DataFrame =
@@ -81,7 +74,7 @@ object HandWritten {
     m.select(col("k1").as("i"), col("k2").as("kk"), col("v").as("_m"))
       .join(n.select(col("k1").as("kk"), col("k2").as("j"), col("v").as("_n")), Seq("kk"))
       .groupBy(col("i").as("k1"), col("j").as("k2"))
-      .agg(org.apache.spark.sql.functions.sum(col("_m") * col("_n")).as("v"))
+      .agg(sum(col("_m") * col("_n")).as("v"))
 
   /** One PageRank step: degree count, join edges with ranks, reduce by
     * destination, then apply the damping factor.
@@ -94,7 +87,7 @@ object HandWritten {
       .join(p.select(col("k1").as("s"), col("v").as("rank")), Seq("s"))
       .join(deg, Seq("s"))
       .groupBy(col("d").as("k1"))
-      .agg(org.apache.spark.sql.functions.sum(col("rank") / col("count")).as("c"))
+      .agg(sum(col("rank") / col("count")).as("c"))
     contrib.select(col("k1"), (lit((1 - b) / nVertices) + lit(b) * col("c")).as("v"))
   }
 
@@ -135,8 +128,7 @@ object HandWritten {
       .join(q.select(col("k1").as("kk"), col("k2").as("j"), col("v").as("qv")), Seq("j"))
       .join(p.select(col("k1").as("i"), col("k2").as("kk"), col("v").as("pv")), Seq("i", "kk"))
       .groupBy(col("i").as("k1"), col("kk").as("k2"))
-      .agg(org.apache.spark.sql.functions.sum(
-        lit(a) * (lit(2.0) * col("e") * col("qv") - lit(b) * col("pv"))).as("d"))
+      .agg(sum(lit(a) * (lit(2.0) * col("e") * col("qv") - lit(b) * col("pv"))).as("d"))
     val newP = p.join(dP, Seq("k1", "k2"), "left_outer")
       .select(col("k1"), col("k2"), (col("v") + coalesce(col("d"), lit(0.0))).as("v"))
     // dQ[k,j] = sum_i a*(2*E[i,j]*P[i,k] - b*Q[k,j])
@@ -144,8 +136,7 @@ object HandWritten {
       .join(p.select(col("k1").as("i"), col("k2").as("kk"), col("v").as("pv")), Seq("i"))
       .join(q.select(col("k1").as("kk"), col("k2").as("j"), col("v").as("qv")), Seq("kk", "j"))
       .groupBy(col("kk").as("k1"), col("j").as("k2"))
-      .agg(org.apache.spark.sql.functions.sum(
-        lit(a) * (lit(2.0) * col("e") * col("pv") - lit(b) * col("qv"))).as("d"))
+      .agg(sum(lit(a) * (lit(2.0) * col("e") * col("pv") - lit(b) * col("qv"))).as("d"))
     val newQ = q.join(dQ, Seq("k1", "k2"), "left_outer")
       .select(col("k1"), col("k2"), (col("v") + coalesce(col("d"), lit(0.0))).as("v"))
     (newP, newQ)

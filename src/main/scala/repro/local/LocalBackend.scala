@@ -97,14 +97,6 @@ object LocalBackend {
       case MMax  => if (compareAny(a, b) >= 0) a else b
     }
 
-  def defaultValue(d: Default): Any = d match {
-    case DZero  => 0L
-    case DOne   => 1L
-    case DTrue  => true
-    case DFalse => false
-    case DNull  => null
-  }
-
   // ------------------------------------------------------ expression eval
 
   type Env = Map[String, Any]
@@ -218,8 +210,7 @@ object LocalBackend {
         case Cond(e)   =>
           if (ev(e, env).asInstanceOf[Boolean]) envs(rest, env) else Iterator.empty
         case Lookup(v, arr, keyVars, default) =>
-          val value = array(arr).m.getOrElse(keyVars.map(env), defaultValue(default))
-          envs(rest, env + (v -> value))
+          envs(rest, env + (v -> array(arr).m.getOrElse(keyVars.map(env), default.value)))
       }
     }
 

@@ -23,13 +23,13 @@ import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
   *  - a group-by becomes `groupBy(keys).agg(...)` with one aggregate per
   *    extracted reduction (an empty key gives a global aggregate — the
   *    backend form of rule 16);
-  *  - the old-value lookup of rule (15a) is a left-outer join with the
-  *    monoid identity as default;
+  *  - a lookup `w ← 𝒟⟦A⟧(k)` is a left-outer join with `A` at `k`, whose
+  *    value defaults to the monoid identity;
   *  - the new side of an inner, cross or lookup join is broadcast when its
   *    estimated size is at most `BroadcastBytes` (see `Compiler.small`);
-  *  - the array merge `◁` is a full-outer join with `coalesce(new, old)`;
-  *    for a self-update `X := X ◁ c` whose lookup reads `X` at the head's
-  *    key, that one join is also the lookup;
+  *  - an array assignment `X := X ◁ c` (rule 15a) is one full-outer join
+  *    of `c`'s rows with the old `X` at the head's key, which is also the
+  *    lookup of a self-update (see `Compiler.build`);
   *  - scalars live on the driver; while-loops run on the driver.
   *
   * The result of an array assignment is checkpointed (`localCheckpoint`),
@@ -199,14 +199,6 @@ object SparkBackend {
       case MMax  => max(c)
     }
 
-    private def defaultCol(d: Default): Column = d match {
-      case DZero  => lit(0)
-      case DOne   => lit(1)
-      case DTrue  => lit(true)
-      case DFalse => lit(false)
-      case DNull  => lit(null)
-    }
-
     /** `df`, the new side of a join, hinted for broadcast when its estimated
       * size is at most `BroadcastBytes`: `rows` times the row size when the
       * count is known, else Spark's plan statistics — exact for a cached
@@ -229,36 +221,20 @@ object SparkBackend {
     def compile(c: Comp): Option[DataFrame] = build(Plan.plan(c), None)
 
     /** `target ◁ c`, where `old` is the target's DataFrame, as a DataFrame
-      * with columns k1..kn, v; None when `c` is statically empty. A
-      * self-update — the only post-group step looks the target up at the
-      * group key, which is also the head's key — is one full-outer join of
-      * the aggregate with the target, which serves as both the old-value
-      * lookup and the merge.
+      * with columns k1..kn, v; None when `c` is statically empty.
       */
-    def merge(c: Comp, target: String, old: Option[DataFrame], ka: Int): Option[DataFrame] = {
-      val p = Plan.plan(c)
-      val self = (p.group, p.post) match {
-        case (Some(g), List(l @ Lookup(_, `target`, kvars, _)))
-            if old.isDefined && kvars == g.kvars && p.head.init == kvars.map(CVar) => Some(l)
-        case _ => None
-      }
-      val keys = (1 to ka).map(i => s"k$i")
-      build(p, self).map { df =>
-        val ndf = df.toDF(keys :+ "v": _*)
-        old match {
-          case Some(odf) if self.isEmpty =>
-            odf.join(ndf.withColumnRenamed("v", "_nv"), keys, "full_outer")
-              .select(keys.map(col) :+ coalesce(col("_nv"), col("v")).as("v"): _*)
-          case _ => ndf
-        }
-      }
-    }
+    def merge(c: Comp, target: String, old: Option[DataFrame], ka: Int): Option[DataFrame] =
+      build(Plan.plan(c), old.map(target -> _))
+        .map(_.toDF((1 to ka).map(i => s"k$i") :+ "v": _*))
 
-    /** The DataFrame of plan `p`'s head columns. With `self`, the plan's
-      * post-group lookup of an assignment's own target, the head is already
-      * merged into the target (see `merge`).
+    /** The DataFrame of plan `p`'s head columns. With `into`, an array
+      * assignment's target and its old DataFrame, the plan's rows are merged
+      * into the old array by one full-outer join at the head's key: the head
+      * where the plan has a row, the old value elsewhere. A last post-group
+      * step that looks the target up at the head's key (a self-update) reads
+      * its old value from that join instead of joining again.
       */
-    private def build(p: Plan, self: Option[Lookup]): Option[DataFrame] = {
+    private def build(p: Plan, into: Option[(String, DataFrame)]): Option[DataFrame] = {
       if ((p.pre ++ p.post).exists { case s: Scan => arr(s.arr).df.isEmpty; case _ => false })
         return None
       var cur: Option[DataFrame] = None
@@ -284,32 +260,21 @@ object SparkBackend {
         }
       }
 
-      /** Join the array of `l` at its key (`how`: left_outer, the array
-        * broadcast when small, or full_outer) and bind its variable to the
-        * value there, or to the default when there is none; returns the
-        * names of the array's key and value columns (none when the array is
-        * not assigned yet).
+      /** Join the array `df` (columns k1..kn, v) where its key equals `keys`
+        * (`how`: left_outer or full_outer); returns its columns, renamed.
         */
-      def lookup(l: Lookup, how: String): Seq[String] = {
-        val name = fresh()
-        val a = arr(l.arr)
-        val cols = a.df match {
-          case None =>
-            cur = Some(base.withColumn(name, defaultCol(l.default))); Nil
-          case Some(adf) =>
-            val rNames = (0 to a.keyArity).map(_ => fresh())
-            val cond = l.keyVars.zipWithIndex.map { case (kv, i) =>
-              col(env(kv)) === col(rNames(i)) }.reduce(_ && _)
-            val vCol = col(rNames.last)
-            val wCol = if (l.default == DNull) vCol else coalesce(vCol, defaultCol(l.default))
-            val side = adf.toDF(rNames: _*)
-            val right = if (how == "left_outer") small(side, a.rows) else side
-            cur = Some(base.join(right, cond, how).withColumn(name, wCol))
-            rNames
-        }
-        env += l.v -> name
-        cols
+      def joinAt(df: DataFrame, keys: List[Column], how: String): List[Column] = {
+        val names = df.columns.toList.map(_ => fresh())
+        val cond = keys.zip(names).map { case (k, n) => k === col(n) }.reduce(_ && _)
+        cur = Some(base.join(df.toDF(names: _*), cond, how))
+        names.map(col)
       }
+
+      /** Bind `l`'s variable to `w`, its array's value, or to its default
+        * where `w` is null.
+        */
+      def bindLookup(l: Lookup, w: Column): Unit =
+        cur = Some(base.withColumn(bind(l.v), coalesce(w, lit(l.default.value))))
 
       def step(s: Step): Unit = s match {
         case r @ RangeGen(v, lo, hi, _) if freeVars(lo).isEmpty && freeVars(hi).isEmpty =>
@@ -328,7 +293,11 @@ object SparkBackend {
           cur = Some(base.withColumn(bind(v), value))
         case Cond(e) =>
           cur = Some(base.filter(col_(e, env)))
-        case l: Lookup => lookup(l, "left_outer")
+        case l: Lookup =>
+          val a = arr(l.arr)
+          // the array is broadcast when small; null when not assigned yet
+          bindLookup(l, a.df.fold(lit(null)) { adf =>
+            joinAt(small(adf, a.rows), l.keyVars.map(v => col(env(v))), "left_outer").last })
       }
 
       p.pre.foreach(step)
@@ -349,19 +318,22 @@ object SparkBackend {
           else b.groupBy(keyNames.map(col): _*).agg(aggs.head, aggs.tail: _*))
         env = kvars.zip(keyNames).toMap ++ redArgs.map { case (rv, _, _, outN) => rv -> outN }
       }
-      val head = self match {
+      val head = into match {
         case None =>
           p.post.foreach(step)
           p.head.map(col_(_, env))
-        case Some(l) =>
-          // aggregate rows (marked) take the head, with the old value as
-          // the lookup; the target's other rows keep their value
+        case Some((target, odf)) =>
+          val self = p.post.lastOption.collect {
+            case l @ Lookup(_, `target`, ks, _) if p.head.init == ks.map(CVar) => l }
+          (if (self.isEmpty) p.post else p.post.init).foreach(step)
+          // the plan's rows are marked: they take the head, the others keep
+          // the old value
           val marker = fresh()
           cur = Some(base.withColumn(marker, lit(true)))
-          val old = lookup(l, "full_outer")
-          val oldV = col(old.last)
-          p.head.init.zip(old).map { case (k, o) => coalesce(col_(k, env), col(o)) } :+
-            when(col(marker).isNull, oldV).otherwise(coalesce(col_(p.head.last, env), oldV))
+          val old = joinAt(odf, p.head.init.map(col_(_, env)), "full_outer")
+          self.foreach(bindLookup(_, old.last))
+          p.head.init.zip(old).map { case (k, o) => coalesce(col_(k, env), o) } :+
+            coalesce(when(col(marker), col_(p.head.last, env)), old.last)
       }
       Some(base.select(head.zipWithIndex.map { case (h, i) => h.as(s"c${i + 1}") }: _*))
     }

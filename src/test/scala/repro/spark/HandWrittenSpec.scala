@@ -30,20 +30,6 @@ class HandWrittenSpec extends SparkSpec {
       HandWritten.conditionalSum(df(p, "V", 300, 21)), "condsum")
   }
 
-  test("count, sum and average agree") {
-    val pc = Benchmarks.count
-    val st = runDiablo(spark, pc, 120, 22)
-    assert(outScalar(st, "cnt") == HandWritten.count(df(pc, "V", 120, 22)))
-    val ps = Benchmarks.sum
-    val st2 = runDiablo(spark, ps, 120, 22)
-    approx(outScalar(st2, "sum").asInstanceOf[Double],
-      HandWritten.sum(df(ps, "V", 120, 22)), "sum")
-    val pa = Benchmarks.average
-    val st3 = runDiablo(spark, pa, 120, 22)
-    approx(outScalar(st3, "avg").asInstanceOf[Double],
-      HandWritten.average(df(pa, "V", 120, 22)), "avg")
-  }
-
   test("equal agrees (mixed and all-equal datasets)") {
     val p = Benchmarks.equal
     val st = runDiablo(spark, p, 50, 23)

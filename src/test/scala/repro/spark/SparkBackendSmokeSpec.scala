@@ -190,8 +190,23 @@ class SparkBackendSmokeSpec extends SparkSpec {
     assertAgree("while", code, kData, List("C", "k"))
   }
 
+  // C[0..9] = 10.0, then C[5..14] = 0.0 … 9.0: a merge into an existing
+  // array at a computed key that is not a self-update
+  private val shiftedMerge = Diablo.compile(
+    """var C: vector[double] = vector();
+      |for i = 0, 9 do C[i] := 10.0;
+      |for i = 0, 9 do C[i+5] := i * 1.0;""".stripMargin, Map.empty)
+
+  test("a merge at a computed key keeps the old keys it does not update") {
+    val expected = ArrayD((0L to 14L).map(k =>
+      List[Any](k) -> (if (k < 5) 10.0 else (k - 5) * 1.0)).toMap, 1)
+    for (par <- List(false, true))
+      assert(LocalBackend.run(shiftedMerge, Map.empty, par)("C") == expected, s"par = $par")
+    assertAgree("C[i+5]", shiftedMerge, Map.empty, List("C"))
+  }
+
   /** Join nodes in the optimized logical plan of the last statement of
-    * `code`, a self-update, after the others ran on Spark.
+    * `code`, an array assignment, after the others ran on Spark.
     */
   private def mergeJoins(code: List[TStmt], data: Map[String, Data]): Int = {
     val TAssign(target, c, true) = code.last: @unchecked
@@ -201,12 +216,13 @@ class SparkBackendSmokeSpec extends SparkSpec {
     df.queryExecution.optimizedPlan.collect { case j: Join => j }.length
   }
 
-  test("a self-update is one join with its target") {
+  test("every `◁` is one join with its target") {
     val kMeans = Benchmarks.byName("KMeans")
     val near = Diablo.compile(kMeans.source, kMeans.sigs).take(7) // up to near's update
     val matMul = Benchmarks.byName("Matrix Multiplication")
     for ((label, code, data, joins) <- List(
         ("C", selfUpdate("for v in K do C[v] += 1.0;"), kData, 1),  // the merge
+        ("C[i+5]", shiftedMerge, Map.empty[String, Data], 1),       // the merge
         ("KMeans near", near, kMeans.data(20, 42), 2),               // P × C, the merge
         ("Matrix Multiplication R", Diablo.compile(matMul.source, matMul.sigs),
           matMul.data(3, 42), 2))) {                                 // M ⋈ N, the merge
