@@ -85,7 +85,6 @@ object Comprehension {
   final case class CField(e: CExpr, field: String) extends CExpr
   final case class CTup(es: List[CExpr]) extends CExpr
   final case class CCall(f: String, args: List[CExpr]) extends CExpr
-  final case class CIf(c: CExpr, t: CExpr, e: CExpr) extends CExpr
   /** ⊕/e — reduction of the lifted (post-group-by) values of e. */
   final case class CReduce(m: Monoid, e: CExpr) extends CExpr
   /** w ⊕ r — combine an old value with a reduction; null-skipping for
@@ -106,7 +105,10 @@ object Comprehension {
     */
   final case class QGroup(kvars: List[String], keys: List[CExpr]) extends Qual
   /** v ← 𝒟⟦arr⟧(keyVars) with a monoid-identity default: binds `v` to the
-    * current value of `arr` at the key, or to the default if absent.
+    * current value of `arr` at the key, or to the default if absent. Rule
+    * (15a) generates it only as the last qualifier, reading the assigned
+    * array at the head's key: the old value the `◁` merge combines with
+    * (`Plan.old`).
     */
   final case class QLookup(v: String, arr: String, keyVars: List[String],
                            default: Default) extends Qual
@@ -122,7 +124,6 @@ object Comprehension {
     case CField(b, _)      => List(b)
     case CTup(es)          => es
     case CCall(_, as)      => as
-    case CIf(c, t, f)      => List(c, t, f)
     case CReduce(_, b)     => List(b)
     case CCombine(_, l, r) => List(l, r)
     case CRange(l, h)      => List(l, h)
@@ -138,7 +139,6 @@ object Comprehension {
     case CField(b, fl)     => CField(f(b), fl)
     case CTup(es)          => CTup(es.map(f))
     case CCall(g, as)      => CCall(g, as.map(f))
-    case CIf(c, t, el)     => CIf(f(c), f(t), f(el))
     case CReduce(m, b)     => CReduce(m, f(b))
     case CCombine(m, l, r) => CCombine(m, f(l), f(r))
     case CRange(l, h)      => CRange(f(l), f(h))
@@ -230,7 +230,6 @@ object Comprehension {
     case CField(b, f)       => s"${show(b)}.$f"
     case CTup(es)           => es.map(show).mkString("(", ",", ")")
     case CCall(f, as)       => s"$f(${as.map(show).mkString(",")})"
-    case CIf(c, t, f)       => s"if(${show(c)}, ${show(t)}, ${show(f)})"
     case CReduce(m, b)      => s"${m.op}/${show(b)}"
     case CCombine(m, l, r)  => s"(${show(l)} ${m.op} ${show(r)})"
   }

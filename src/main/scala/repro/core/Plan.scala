@@ -8,22 +8,28 @@ import Comprehension._
   * scans, a group-by becomes a group-by-aggregate over the reductions
   * extracted from the head. The steps before the group-by and those after
   * it are placed separately, each by one rule: the next step is the first
-  * remaining qualifier that is a binder (a generator or a lookup) or whose
-  * variables are all bound, so a condition or let waits until they are; a
-  * qualifier whose variables never become bound is an error. Each
-  * generator carries the remaining conditions whose variables are all
-  * bound once it has run and that mention at least one of its own: a
-  * backend filters or joins with them at the generator. A scan that
-  * re-reads an element an earlier scan of the same step list bound reads
-  * that scan's element instead (see `reuse`).
+  * remaining qualifier that is a generator or whose variables are all
+  * bound, so a condition or let waits until they are; a qualifier whose
+  * variables never become bound is an error. Each generator carries the
+  * remaining conditions whose variables are all bound once it has run and
+  * that mention at least one of its own: a backend filters or joins with
+  * them at the generator. A scan that re-reads an element an earlier scan
+  * of the same step list bound reads that scan's element instead (see
+  * `reuse`).
+  *
+  * `old` is the lookup 𝒟⟦A⟧(k) of rule (15a): the old value of the array
+  * the `◁` merges into, at the head's key, bound after every step. It is
+  * part of that merge, so a backend reads it from the merge; the translator
+  * generates no other lookup.
   */
 final case class Plan(pre: List[Plan.Step], group: Option[Plan.Group],
-                      post: List[Plan.Step], head: List[CExpr]) {
+                      post: List[Plan.Step], old: Option[Plan.Lookup],
+                      head: List[CExpr]) {
   import Plan._
 
   /** One line per step: ranges with their conditions, scans with their keys
-    * and filters, lets, conditions, the group-by with its reductions,
-    * lookups, and the head.
+    * and filters, lets, conditions, the group-by with its reductions, then
+    * the old-value lookup and the head.
     */
   def show: String = {
     def e(x: CExpr) = Comprehension.show(x)
@@ -37,14 +43,16 @@ final case class Plan(pre: List[Plan.Step], group: Option[Plan.Group],
         s"scan ${s.vars.mkString("(", ",", ")")} <- ${s.arr}" +
           opt("key", s.keys.map { case (i, k) => s"${s.idxVars(i)}=${e(k)}" }) +
           opt("filter", s.filters.map(e))
-      case Let(v, x)           => s"let $v = ${e(x)}"
-      case Cond(x)             => s"cond ${e(x)}"
-      case Lookup(v, a, ks, d) => s"lookup $v <- $a[${ks.mkString(",")}] default $d"
+      case Let(v, x) => s"let $v = ${e(x)}"
+      case Cond(x)   => s"cond ${e(x)}"
     }
     val grouping = group.map { case Group(kvars, keys, reds) =>
       s"group by (${kvars.mkString(",")}) : (${es(keys)})" +
         opt("reduce", reds.map { case (v, m, x) => s"$v = ${m.op}/${e(x)}" }) }
-    (pre.map(step) ++ grouping ++ post.map(step) :+ s"head ${es(head)}").mkString("\n")
+    val lookup = old.map { case Lookup(v, a, ks, d) =>
+      s"lookup $v <- $a[${ks.mkString(",")}] default $d" }
+    (pre.map(step) ++ grouping ++ post.map(step) ++ lookup :+ s"head ${es(head)}")
+      .mkString("\n")
   }
 }
 
@@ -73,8 +81,9 @@ object Plan {
   }
   final case class Let(v: String, e: CExpr) extends Step
   final case class Cond(e: CExpr) extends Step
+  /** v ← 𝒟⟦arr⟧(keyVars): `arr`'s value at the key, or the default. */
   final case class Lookup(v: String, arr: String, keyVars: List[String],
-                          default: Default) extends Step
+                          default: Default)
 
   /** group by (kvars) : (keys), computing the (var, monoid, argument)
     * reductions.
@@ -83,21 +92,31 @@ object Plan {
                          reduces: List[(String, Monoid, CExpr)])
 
   /** The plan of `c`, whose head columns are flattened by `headColumns`. */
-  def plan(c: Comp): Plan = splitAtGroup(c.quals) match {
-    case None => Plan(reuse(steps(c.quals, Set.empty)), None, Nil, headColumns(c.head))
-    case Some((pre, QGroup(kvars, keys), post)) =>
-      def hasReduce(e: CExpr): Boolean =
-        e.isInstanceOf[CReduce] || children(e).exists(hasReduce)
-      require(post.forall {
-        case QPred(e)   => !hasReduce(e)
-        case QLet(_, e) => !hasReduce(e)
-        case _          => true
-      }, "reductions in post-group qualifiers are not generated")
-      var n = 0
-      val (head, reds) = extractReduces(c.head, () => { n += 1; s"_r$n" })
-      val bound = kvars ++ reds.map(_._1)
-      Plan(reuse(steps(pre, Set.empty)), Some(Group(kvars, keys, reds)),
-        reuse(steps(post, bound.toSet), bound), headColumns(head))
+  def plan(c: Comp): Plan = {
+    val cols = headColumns(c.head)
+    val (quals, old) = c.quals.lastOption match {
+      case Some(QLookup(v, a, ks, d)) if ks.map(CVar) == cols.init =>
+        (c.quals.init, Some(Lookup(v, a, ks, d)))
+      case _ => (c.quals, None)
+    }
+    require(!quals.exists(_.isInstanceOf[QLookup]),
+      "lookups other than the old value at the head's key are not generated")
+    splitAtGroup(quals) match {
+      case None => Plan(reuse(steps(quals, Set.empty)), None, Nil, old, cols)
+      case Some((pre, QGroup(kvars, keys), post)) =>
+        def hasReduce(e: CExpr): Boolean =
+          e.isInstanceOf[CReduce] || children(e).exists(hasReduce)
+        require(post.forall {
+          case QPred(e)   => !hasReduce(e)
+          case QLet(_, e) => !hasReduce(e)
+          case _          => true
+        }, "reductions in post-group qualifiers are not generated")
+        var n = 0
+        val (head, reds) = extractReduces(c.head, () => { n += 1; s"_r$n" })
+        val bound = kvars ++ reds.map(_._1)
+        Plan(reuse(steps(pre, Set.empty)), Some(Group(kvars, keys, reds)),
+          reuse(steps(post, bound.toSet), bound), old, headColumns(head))
+    }
   }
 
   /** Element reuse. An array holds one value per key, so a scan whose keys
@@ -113,7 +132,6 @@ object Plan {
     val bound = bound0 ++ steps.flatMap {
       case g: Generator => g.vars
       case Let(v, _)    => List(v)
-      case l: Lookup    => List(l.v)
       case _: Cond      => Nil
     }
     if (bound.distinct.length != bound.length) return steps
@@ -191,10 +209,9 @@ object Plan {
         case QLet(PVar(v), e) => out += Let(v, e)
         case QLet(p, _) =>
           throw new IllegalArgumentException(s"unsupported let pattern ${show(p)}")
-        case QPred(e)             => out += Cond(e)
-        case QLookup(v, a, ks, d) => out += Lookup(v, a, ks, d)
-        case g: QGroup =>
-          throw new IllegalArgumentException(s"unexpected ${show(g)}")
+        case QPred(e) => out += Cond(e)
+        case q @ (_: QGroup | _: QLookup) =>
+          throw new IllegalArgumentException(s"unexpected ${show(q)}")
       }
       bound ++= boundVars(q)
     }

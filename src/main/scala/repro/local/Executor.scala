@@ -23,10 +23,10 @@ abstract class Executor[V] {
   protected def emptyArray(keyArity: Int): V
   /** First column of the first row of `c`; None when `c` is empty. */
   protected def first(c: Comp, state: State): Option[Any]
-  /** `old ◁ c` for the array `target`, whose value is `old`: the rows of
-    * `c` (keys, then value) override `old`.
+  /** `old ◁ c` for an array whose value is `old`: the rows of `c` (keys,
+    * then value) override `old`.
     */
-  protected def merge(target: String, old: V, c: Comp, keyArity: Int, state: State): V
+  protected def merge(old: V, c: Comp, keyArity: Int, state: State): V
 
   /** Run target code over an initial state; returns the final state. */
   final def run(prog: List[TStmt], init: Map[String, V]): Map[String, V] = {
@@ -49,7 +49,7 @@ abstract class Executor[V] {
       case Left(TInit(n, ka)) => state(n) = emptyArray(ka)
       case Left(TAssign(n, c, true)) =>
         val ka = headColumns(c.head).length - 1
-        state(n) = merge(n, state.getOrElse(n, emptyArray(ka)), c, ka, state)
+        state(n) = merge(state.getOrElse(n, emptyArray(ka)), c, ka, state)
       case Left(TAssign(n, c, false)) => value(c).foreach(v => state(n) = scalar(v))
       case Left(TWhileS(c, body)) =>
         while (value(c).exists(_.asInstanceOf[Boolean])) exec(body)

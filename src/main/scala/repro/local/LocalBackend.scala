@@ -93,16 +93,22 @@ object LocalBackend {
       case MProd => arith("*", a, b)
       case MAnd  => a.asInstanceOf[Boolean] && b.asInstanceOf[Boolean]
       case MOr   => a.asInstanceOf[Boolean] || b.asInstanceOf[Boolean]
-      case MMin  => if (compareAny(a, b) <= 0) a else b
-      case MMax  => if (compareAny(a, b) >= 0) a else b
+      case MMin | MMax =>
+        val c = compareAny(a, b)
+        val r = if (if (m == MMin) c <= 0 else c >= 0) a else b
+        // a long and a double give a double, as Spark's least/greatest do
+        (a, b) match {
+          case (_: Long, _: Double) | (_: Double, _: Long) => toD(r)
+          case _                                           => r
+        }
     }
 
   // ------------------------------------------------------ expression eval
 
   type Env = Map[String, Any]
 
-  /** Evaluate a generator-free expression. CReduce over a single binding is
-    * the binding itself (the driver path of rule 16).
+  /** Evaluate a generator-free expression. `Plan` extracts every reduction
+    * of a comprehension's head, so none is left to evaluate here.
     */
   def evalExpr(e: CExpr, env: Env, scalar: String => Any): Any = e match {
     case CVar(n)   => env.getOrElse(n,
@@ -140,17 +146,13 @@ object LocalBackend {
         case "pow"  => math.pow(toD(vs(0)), toD(vs(1)))
         case "exp"  => math.exp(toD(vs.head))
         case "log"  => math.log(toD(vs.head))
-        case "min"  => if (compareAny(vs(0), vs(1)) <= 0) vs(0) else vs(1)
-        case "max"  => if (compareAny(vs(0), vs(1)) >= 0) vs(0) else vs(1)
+        case "min"  => combine(MMin, vs(0), vs(1))
+        case "max"  => combine(MMax, vs(0), vs(1))
         case other  => throw new IllegalArgumentException(s"unknown function $other")
       }
-    case CIf(c, t, f) =>
-      if (evalExpr(c, env, scalar).asInstanceOf[Boolean]) evalExpr(t, env, scalar)
-      else evalExpr(f, env, scalar)
-    case CReduce(_, b)     => evalExpr(b, env, scalar) // singleton bag
     case CCombine(m, l, r) => combine(m, evalExpr(l, env, scalar), evalExpr(r, env, scalar))
     case CUn(op, _)  => throw new IllegalArgumentException(s"unknown unary $op")
-    case CArr(_) | CRange(_, _) =>
+    case CArr(_) | CRange(_, _) | CReduce(_, _) =>
       throw new IllegalArgumentException(s"not a scalar expression: ${show(e)}")
   }
 
@@ -209,8 +211,6 @@ object LocalBackend {
         case Let(v, e) => envs(rest, env + (v -> ev(e, env)))
         case Cond(e)   =>
           if (ev(e, env).asInstanceOf[Boolean]) envs(rest, env) else Iterator.empty
-        case Lookup(v, arr, keyVars, default) =>
-          envs(rest, env + (v -> array(arr).m.getOrElse(keyVars.map(env), default.value)))
       }
     }
 
@@ -245,7 +245,12 @@ object LocalBackend {
     /** Evaluate a comprehension to its rows (flattened head columns). */
     def rows(c: Comp): Seq[List[Any]] = {
       val p = Plan.plan(c)
-      def emit(env: Env): List[Any] = p.head.map(ev(_, env))
+      // the old value is bound after every step, just before the head
+      def emit(env: Env): List[Any] = {
+        val full = p.old.fold(env) { case Lookup(v, arr, keyVars, default) =>
+          env + (v -> array(arr).m.getOrElse(keyVars.map(env), default.value)) }
+        p.head.map(ev(_, full))
+      }
       p.group match {
         case None =>
           perChunk(p.pre)(_.map(emit).toVector).reduceOption(_ ++ _).getOrElse(Vector.empty)
@@ -311,7 +316,7 @@ object LocalBackend {
       }, par)
     protected def first(c: Comp, state: State) =
       evaluator(state).rows(c).headOption.map(_.head)
-    protected def merge(target: String, old: Data, c: Comp, ka: Int, state: State) = {
+    protected def merge(old: Data, c: Comp, ka: Int, state: State) = {
       val entries = old match {
         case ArrayD(m, _) => m
         case _            => Map.empty[List[Any], Any]

@@ -23,13 +23,12 @@ import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
   *  - a group-by becomes `groupBy(keys).agg(...)` with one aggregate per
   *    extracted reduction (an empty key gives a global aggregate — the
   *    backend form of rule 16);
-  *  - a lookup `w ← 𝒟⟦A⟧(k)` is a left-outer join with `A` at `k`, whose
-  *    value defaults to the monoid identity;
-  *  - the new side of an inner, cross or lookup join is broadcast when its
+  *  - the new side of an inner or cross join is broadcast when its
   *    estimated size is at most `BroadcastBytes` (see `Compiler.small`);
   *  - an array assignment `X := X ◁ c` (rule 15a) is one full-outer join
-  *    of `c`'s rows with the old `X` at the head's key, which is also the
-  *    lookup of a self-update (see `Compiler.build`);
+  *    of `c`'s rows with the old `X` at the head's key, which also gives
+  *    the old value `w ← 𝒟⟦X⟧(k)` of an incremental update, defaulting to
+  *    the monoid identity (see `Compiler.build`);
   *  - scalars live on the driver; while-loops run on the driver.
   *
   * The result of an array assignment is checkpointed (`localCheckpoint`),
@@ -174,7 +173,6 @@ object SparkBackend {
           case "max"  => greatest(cs(0), cs(1))
           case other  => throw new IllegalArgumentException(s"unknown function $other")
         }
-      case CIf(c, t, f) => when(col_(c, env), col_(t, env)).otherwise(col_(f, env))
       case CCombine(m, l, r) =>
         val (a, b) = (col_(l, env), col_(r, env))
         m match {
@@ -220,21 +218,19 @@ object SparkBackend {
       */
     def compile(c: Comp): Option[DataFrame] = build(Plan.plan(c), None)
 
-    /** `target ◁ c`, where `old` is the target's DataFrame, as a DataFrame
-      * with columns k1..kn, v; None when `c` is statically empty.
+    /** `old ◁ c`, where `old` is the assigned array's DataFrame, as a
+      * DataFrame with columns k1..kn, v; None when `c` is statically empty.
       */
-    def merge(c: Comp, target: String, old: Option[DataFrame], ka: Int): Option[DataFrame] =
-      build(Plan.plan(c), old.map(target -> _))
-        .map(_.toDF((1 to ka).map(i => s"k$i") :+ "v": _*))
+    def merge(c: Comp, old: Option[DataFrame], ka: Int): Option[DataFrame] =
+      build(Plan.plan(c), old).map(_.toDF((1 to ka).map(i => s"k$i") :+ "v": _*))
 
-    /** The DataFrame of plan `p`'s head columns. With `into`, an array
-      * assignment's target and its old DataFrame, the plan's rows are merged
-      * into the old array by one full-outer join at the head's key: the head
-      * where the plan has a row, the old value elsewhere. A last post-group
-      * step that looks the target up at the head's key (a self-update) reads
-      * its old value from that join instead of joining again.
+    /** The DataFrame of plan `p`'s head columns. With `into`, the old
+      * DataFrame of an array assignment, the plan's rows are merged into it
+      * by one full-outer join at the head's key: the head where the plan has
+      * a row, the old value elsewhere. The plan's old value (`p.old`) is that
+      * join's value, or the default where there is none.
       */
-    private def build(p: Plan, into: Option[(String, DataFrame)]): Option[DataFrame] = {
+    private def build(p: Plan, into: Option[DataFrame]): Option[DataFrame] = {
       if ((p.pre ++ p.post).exists { case s: Scan => arr(s.arr).df.isEmpty; case _ => false })
         return None
       var cur: Option[DataFrame] = None
@@ -260,22 +256,6 @@ object SparkBackend {
         }
       }
 
-      /** Join the array `df` (columns k1..kn, v) where its key equals `keys`
-        * (`how`: left_outer or full_outer); returns its columns, renamed.
-        */
-      def joinAt(df: DataFrame, keys: List[Column], how: String): List[Column] = {
-        val names = df.columns.toList.map(_ => fresh())
-        val cond = keys.zip(names).map { case (k, n) => k === col(n) }.reduce(_ && _)
-        cur = Some(base.join(df.toDF(names: _*), cond, how))
-        names.map(col)
-      }
-
-      /** Bind `l`'s variable to `w`, its array's value, or to its default
-        * where `w` is null.
-        */
-      def bindLookup(l: Lookup, w: Column): Unit =
-        cur = Some(base.withColumn(bind(l.v), coalesce(w, lit(l.default.value))))
-
       def step(s: Step): Unit = s match {
         case r @ RangeGen(v, lo, hi, _) if freeVars(lo).isEmpty && freeVars(hi).isEmpty =>
           joinIn(r, spark.range(driverLong(lo), driverLong(hi) + 1).toDF(bind(v)), None)
@@ -293,11 +273,6 @@ object SparkBackend {
           cur = Some(base.withColumn(bind(v), value))
         case Cond(e) =>
           cur = Some(base.filter(col_(e, env)))
-        case l: Lookup =>
-          val a = arr(l.arr)
-          // the array is broadcast when small; null when not assigned yet
-          bindLookup(l, a.df.fold(lit(null)) { adf =>
-            joinAt(small(adf, a.rows), l.keyVars.map(v => col(env(v))), "left_outer").last })
       }
 
       p.pre.foreach(step)
@@ -318,22 +293,22 @@ object SparkBackend {
           else b.groupBy(keyNames.map(col): _*).agg(aggs.head, aggs.tail: _*))
         env = kvars.zip(keyNames).toMap ++ redArgs.map { case (rv, _, _, outN) => rv -> outN }
       }
-      val head = into match {
-        case None =>
-          p.post.foreach(step)
-          p.head.map(col_(_, env))
-        case Some((target, odf)) =>
-          val self = p.post.lastOption.collect {
-            case l @ Lookup(_, `target`, ks, _) if p.head.init == ks.map(CVar) => l }
-          (if (self.isEmpty) p.post else p.post.init).foreach(step)
-          // the plan's rows are marked: they take the head, the others keep
-          // the old value
-          val marker = fresh()
-          cur = Some(base.withColumn(marker, lit(true)))
-          val old = joinAt(odf, p.head.init.map(col_(_, env)), "full_outer")
-          self.foreach(bindLookup(_, old.last))
-          p.head.init.zip(old).map { case (k, o) => coalesce(col_(k, env), o) } :+
-            coalesce(when(col(marker), col_(p.head.last, env)), old.last)
+      p.post.foreach(step)
+      // the old array's columns, joined to the plan's rows, which are
+      // marked: they take the head, the others keep the old value
+      val marker = fresh()
+      val old = into.map { odf =>
+        val names = odf.columns.toList.map(_ => fresh())
+        val cond = p.head.init.zip(names).map { case (k, n) => col_(k, env) === col(n) }
+        cur = Some(base.withColumn(marker, lit(true))
+          .join(odf.toDF(names: _*), cond.reduce(_ && _), "full_outer"))
+        names.map(col)
+      }
+      p.old.foreach { l => cur = Some(base.withColumn(bind(l.v),
+        coalesce(old.fold(lit(null))(_.last), lit(l.default.value)))) }
+      val head = old.fold(p.head.map(col_(_, env))) { o =>
+        p.head.init.zip(o).map { case (k, x) => coalesce(col_(k, env), x) } :+
+          coalesce(when(col(marker), col_(p.head.last, env)), o.last)
       }
       Some(base.select(head.zipWithIndex.map { case (h, i) => h.as(s"c${i + 1}") }: _*))
     }
@@ -351,9 +326,9 @@ object SparkBackend {
       new Compiler(spark, state).compile(c).flatMap { df =>
         df.collect().headOption.map(r => fromSparkValue(r.get(0), df.schema.head.dataType))
       }
-    protected def merge(target: String, old: SValue, c: Comp, ka: Int, state: State) = {
+    protected def merge(old: SValue, c: Comp, ka: Int, state: State) = {
       val odf = old match { case SArr(df, _) => df; case _ => None }
-      new Compiler(spark, state).merge(c, target, odf, ka).fold(old) { df =>
+      new Compiler(spark, state).merge(c, odf, ka).fold(old) { df =>
         // one job computes, checkpoints and counts the array, as the one
         // job of an eager checkpoint would
         val done = df.localCheckpoint(false)

@@ -29,7 +29,7 @@ class PlanSpec extends SparkSpec {
     assert(s("P").keys == List(0 -> src) && s("P").filters.isEmpty)
     assert(s("C").keys == List(0 -> src) && s("C").filters.isEmpty)
     assert(out.group.map(_.kvars.length).contains(1))
-    assert(out.post.collect { case l: Lookup => l.arr } == List("OUT"))
+    assert(out.post.isEmpty && out.old.map(_.arr) == Some("OUT"))
   }
 
   test("conditions that are not a key of their scan stay its filters") {
@@ -56,14 +56,37 @@ class PlanSpec extends SparkSpec {
     assert(p.pre.last == Cond(CBin(">", CState("s"), CLit(0L))))
   }
 
+  private val sumInto = CTup(List(CVar("k"), CCombine(MSum, CVar("w"), CReduce(MSum, CVar("v")))))
+  private val lookupW = QLookup("w", "C", List("k"), DZero)
+
   test("the group-by splits the steps and its reductions come from the head") {
-    val c = Comp(CTup(List(CVar("k"), CCombine(MSum, CVar("w"), CReduce(MSum, CVar("v"))))),
-      List(scan("i", "v", "A"), QGroup(List("k"), List(CVar("i"))),
-           QLookup("w", "C", List("k"), DZero)))
-    val p = Plan.plan(c)
+    val p = Plan.plan(Comp(sumInto,
+      List(scan("i", "v", "A"), QGroup(List("k"), List(CVar("i"))), lookupW)))
     assert(p.group == Some(Group(List("k"), List(CVar("i")), List(("_r1", MSum, CVar("v"))))))
     assert(p.head == List(CVar("k"), CCombine(MSum, CVar("w"), CVar("_r1"))))
-    assert(p.post == List(Lookup("w", "C", List("k"), DZero)))
+    assert(p.post.isEmpty && p.old == Some(Lookup("w", "C", List("k"), DZero)))
+  }
+
+  test("an update without a group-by reads its old value after every step") {
+    val vec = Translate.ArraySig(1)
+    val List(Translate.TAssign("V", c, true)) = Diablo.compile(
+      "for i = 0, 4 do V[i] += W[i];", Map("V" -> vec, "W" -> vec)): @unchecked
+    val p = Plan.plan(c)
+    val List(CVar(k), _) = p.head: @unchecked
+    assert(p.group.isEmpty && p.pre.last == Let(k, CVar("i")))
+    assert(p.old.map(l => (l.arr, l.keyVars)) == Some(("V", List(k))))
+  }
+
+  test("a lookup other than the old value at the head's key is rejected") {
+    val group = QGroup(List("k"), List(CVar("i")))
+    for ((label, quals) <- List(
+        ("not last", List(scan("i", "v", "A"), group, lookupW, QPred(CLit(true)))),
+        ("not at the head's key", List(scan("i", "v", "A"), group,
+          QLookup("w", "C", List("i"), DZero))),
+        ("a second lookup", List(scan("i", "v", "A"), group,
+          QLookup("u", "C", List("k"), DZero), lookupW))))
+      assert(intercept[IllegalArgumentException](Plan.plan(Comp(sumInto, quals)))
+        .getMessage.contains("not generated"), label)
   }
 
   test("a reduction in a post-group qualifier is rejected") {
@@ -95,7 +118,6 @@ class PlanSpec extends SparkSpec {
       case s: Scan               => reads(s.keyExprs); bound ++= s.vars; reads(s.conds)
       case Let(v, e)             => reads(List(e)); bound += v
       case Cond(e)               => reads(List(e))
-      case Lookup(v, _, ks, _)   => reads(ks.map(CVar)); bound += v
     }
     run(p.pre)
     for (Group(kvars, keys, reds) <- p.group) {
@@ -103,6 +125,7 @@ class PlanSpec extends SparkSpec {
       bound = (kvars ++ reds.map(_._1)).toSet
     }
     run(p.post)
+    for (Lookup(v, _, ks, _) <- p.old) { reads(ks.map(CVar)); bound += v }
     reads(p.head)
   }
 

@@ -148,22 +148,17 @@ class TranslateSpec extends AnyFunSuite {
   test("freeVars and extractReduces walk every expression form left to right") {
     val minC = CReduce(MMin, CVar("c"))
     val sumAB = CReduce(MSum, CBin("*", CVar("a"), CVar("b")))
-    val e = CCombine(MSum,
-      CIf(CBin("<", minC, CLit(0L)),
-        CUn("-", CField(CVar("p"), "_1")),
-        CCall("sqrt", List(CState("s")))),
-      CTup(List(sumAB, minC)))
-    assert(freeVars(e) == Set("c", "p", "a", "b"))
+    def e(r1: CExpr, r2: CExpr) = CCombine(MSum,
+      CBin("<", r1, CUn("-", CField(CVar("p"), "_1"))),
+      CTup(List(CCall("sqrt", List(CState("s"))), r2, r1,
+        CRange(CVar("lo"), CLit(9L)), CArr("A"))))
+    assert(freeVars(e(minC, sumAB)) == Set("c", "p", "a", "b", "lo"))
 
     var n = 0
-    val (rewritten, reds) = extractReduces(e, () => { n += 1; s"_r$n" })
+    val (rewritten, reds) = extractReduces(e(minC, sumAB), () => { n += 1; s"_r$n" })
     assert(reds == List(("_r1", MMin, CVar("c")),
       ("_r2", MSum, CBin("*", CVar("a"), CVar("b")))))
-    assert(rewritten == CCombine(MSum,
-      CIf(CBin("<", CVar("_r1"), CLit(0L)),
-        CUn("-", CField(CVar("p"), "_1")),
-        CCall("sqrt", List(CState("s")))),
-      CTup(List(CVar("_r2"), CVar("_r1")))))
+    assert(rewritten == e(CVar("_r1"), CVar("_r2")))
   }
 
   test("Ast.children and Ast.mapChildren visit every source expression form left to right") {

@@ -205,6 +205,22 @@ class SparkBackendSmokeSpec extends SparkSpec {
     assertAgree("C[i+5]", shiftedMerge, Map.empty, List("C"))
   }
 
+  // V[0..4] = 1.0, then V[i] += W[i]: rule 17 drops the update's group-by,
+  // so its lookup of V's old value follows steps that precede no group-by
+  private val uniqueKeyUpdate = Diablo.compile(
+    """var V: vector[double] = vector();
+      |for i = 0, 4 do V[i] := 1.0;
+      |for i = 0, 4 do V[i] += W[i];""".stripMargin, Map("W" -> ArraySig(1)))
+  private val wData =
+    Map("W" -> ArrayD((0 until 5).map(i => List[Any](i.toLong) -> i * 1.0).toMap, 1))
+
+  test("an update whose group-by rule 17 drops adds to the old values") {
+    val expected = ArrayD((0 until 5).map(i => List[Any](i.toLong) -> (1.0 + i)).toMap, 1)
+    for (par <- List(false, true))
+      assert(LocalBackend.run(uniqueKeyUpdate, wData, par)("V") == expected, s"par = $par")
+    assertAgree("V[i] += W[i]", uniqueKeyUpdate, wData, List("V"))
+  }
+
   /** Join nodes in the optimized logical plan of the last statement of
     * `code`, an array assignment, after the others ran on Spark.
     */
@@ -212,7 +228,7 @@ class SparkBackendSmokeSpec extends SparkSpec {
     val TAssign(target, c, true) = code.last: @unchecked
     val state = SparkBackend.run(code.init, SparkBackend.fromLocal(spark, data), spark)
     val SparkBackend.SArr(old, ka) = state(target): @unchecked
-    val df = new SparkBackend.Compiler(spark, state).merge(c, target, old, ka).get
+    val df = new SparkBackend.Compiler(spark, state).merge(c, old, ka).get
     df.queryExecution.optimizedPlan.collect { case j: Join => j }.length
   }
 
@@ -223,6 +239,7 @@ class SparkBackendSmokeSpec extends SparkSpec {
     for ((label, code, data, joins) <- List(
         ("C", selfUpdate("for v in K do C[v] += 1.0;"), kData, 1),  // the merge
         ("C[i+5]", shiftedMerge, Map.empty[String, Data], 1),       // the merge
+        ("V[i] += W[i]", uniqueKeyUpdate, wData, 1),                 // the merge
         ("KMeans near", near, kMeans.data(20, 42), 2),               // P × C, the merge
         ("Matrix Multiplication R", Diablo.compile(matMul.source, matMul.sigs),
           matMul.data(3, 42), 2))) {                                 // M ⋈ N, the merge

@@ -36,6 +36,27 @@ class SparkMonoidSpec extends SparkSpec {
     assert(c == Map(List(2L) -> 2L, List(3L) -> 4L, List(4L) -> 2L))
   }
 
+  test("min and max of a long and a double are doubles on both backends") {
+    val code = Diablo.compile(
+      "var lo: double = 10.0; var hi: double = -1.0; var C: vector[double] = vector(); " +
+      "for i = 0, 2 do C[i] := min(i, 1.5); for v in V do { lo min= v; hi max= v; };",
+      Map("V" -> ArraySig(1)))
+    val data = Map("V" -> vec(0L -> 0L, 1L -> 1L, 2L -> 2L, 3L -> 3L))
+    val local = repro.local.LocalBackend.run(code, data)
+    val st = SparkBackend.run(code, fromLocal(spark, data), spark)
+    val c = Map(List(0L) -> 0.0, List(1L) -> 1.0, List(2L) -> 1.5)
+    // compared by class too, since 0L == 0.0 holds in Scala
+    for ((backend, lo, hi, cs) <- List(
+        ("local", local("lo").asInstanceOf[ScalarD].v, local("hi").asInstanceOf[ScalarD].v,
+          local("C").asInstanceOf[ArrayD].m),
+        ("Spark", outScalar(st, "lo"), outScalar(st, "hi"), dfToArray(outDF(st, "C"), 1).m))) {
+      assert(List(lo, hi).map(_.getClass) == List.fill(2)(classOf[java.lang.Double]), backend)
+      assert((lo, hi) == ((0.0, 3.0)), backend)
+      assert(cs.values.map(_.getClass).toSet == Set(classOf[java.lang.Double]), backend)
+      assert(cs == c, backend)
+    }
+  }
+
   test("scalar min=/max= on Spark") {
     val st = run(
       "var lo: double = 1.0e30; var hi: double = -1.0e30; " +
