@@ -269,7 +269,7 @@ object CasperSim {
     case UnOp(op, b)    => CUn(op, toCExpr(b))
     case BinOp(op, l, r) => CBin(op, toCExpr(l), toCExpr(r))
     case TupleE(es)     => CTup(es.map(toCExpr))
-    case CallE(f, as)   => CCall(f, as.map(toCExpr))
+    case CallE(f, as)   => call(f, as.map(toCExpr))
     case Index(_, _)    => throw new IllegalArgumentException(s"not a closed fragment: $e")
   }
 

@@ -35,7 +35,9 @@ object MoldSim {
     def done: Boolean = prog.isEmpty
   }
 
-  def translate(source: String, maxStates: Int = 2_000_000): Result = {
+  private val MaxStates = 2_000_000 // the state budget of one search
+
+  def translate(source: String): Result = {
     val prog = Parser.parse(source)
     val start = State(prog.flatMap(flatten), Nil)
     val seen  = scala.collection.mutable.Set.empty[List[Stmt]]
@@ -44,12 +46,11 @@ object MoldSim {
     while (queue.nonEmpty) {
       val st = queue.dequeue()
       states += 1
-      if (states > maxStates) return Failed("state budget exhausted", states)
+      if (states > MaxStates) return Failed("state budget exhausted", states)
       if (st.done) return Translated(st.ops.reverse, states)
       for (next <- expand(st)) {
         if (!seen(next.prog)) { seen += next.prog; queue += next }
       }
-      if (queue.isEmpty) return Failed("no template matches the remaining loops", states)
     }
     Failed("no template matches the remaining loops", states)
   }

@@ -59,12 +59,6 @@ object Comprehension {
     case MMin | MMax => DNull
   }
 
-  // ------------------------------------------------------------ patterns
-
-  sealed trait Pat { def vars: List[String] }
-  final case class PVar(name: String) extends Pat { def vars = List(name) }
-  final case class PTup(ps: List[Pat]) extends Pat { def vars = ps.flatMap(_.vars) }
-
   // --------------------------------------------------------- expressions
 
   sealed trait CExpr
@@ -80,6 +74,7 @@ object Comprehension {
   final case class CArr(name: String) extends CExpr
   /** Inclusive integer range — generator source only. */
   final case class CRange(lo: CExpr, hi: CExpr) extends CExpr
+  /** l op r: a source operator, or `min`/`max`; a monoid's ⊕ is `m.op`. */
   final case class CBin(op: String, l: CExpr, r: CExpr) extends CExpr
   final case class CUn(op: String, e: CExpr) extends CExpr
   final case class CField(e: CExpr, field: String) extends CExpr
@@ -87,17 +82,15 @@ object Comprehension {
   final case class CCall(f: String, args: List[CExpr]) extends CExpr
   /** ⊕/e — reduction of the lifted (post-group-by) values of e. */
   final case class CReduce(m: Monoid, e: CExpr) extends CExpr
-  /** w ⊕ r — combine an old value with a reduction; null-skipping for
-    * monoids without an identity.
-    */
-  final case class CCombine(m: Monoid, l: CExpr, r: CExpr) extends CExpr
 
   // ---------------------------------------------------------- qualifiers
 
   sealed trait Qual
-  /** p ← src, src ∈ {CArr, CRange}. */
-  final case class Gen(p: Pat, src: CExpr) extends Qual
-  final case class QLet(p: Pat, e: CExpr) extends Qual
+  /** i ← range(lo, hi), or (i1,...,in,v) ← arr: names, not the paper's
+    * general patterns, which the translator never builds.
+    */
+  final case class Gen(vars: List[String], src: CExpr) extends Qual
+  final case class QLet(v: String, e: CExpr) extends Qual
   final case class QPred(e: CExpr) extends Qual
   /** group by (kvars) : (keys) — kvars are bound to the key values after
     * the group-by; pre-group variables may only be used under CReduce.
@@ -125,7 +118,6 @@ object Comprehension {
     case CTup(es)          => es
     case CCall(_, as)      => as
     case CReduce(_, b)     => List(b)
-    case CCombine(_, l, r) => List(l, r)
     case CRange(l, h)      => List(l, h)
     case CVar(_) | CLit(_) | CState(_) | CArr(_) => Nil
   }
@@ -140,7 +132,6 @@ object Comprehension {
     case CTup(es)          => CTup(es.map(f))
     case CCall(g, as)      => CCall(g, as.map(f))
     case CReduce(m, b)     => CReduce(m, f(b))
-    case CCombine(m, l, r) => CCombine(m, f(l), f(r))
     case CRange(l, h)      => CRange(f(l), f(h))
     case CVar(_) | CLit(_) | CState(_) | CArr(_) => e
   }
@@ -155,11 +146,17 @@ object Comprehension {
 
   /** Variables bound by a qualifier. */
   def boundVars(q: Qual): List[String] = q match {
-    case Gen(p, _)            => p.vars
-    case QLet(p, _)           => p.vars
+    case Gen(vs, _)           => vs
+    case QLet(v, _)           => List(v)
     case QGroup(kv, _)        => kv
     case QLookup(v, _, _, _)  => List(v)
     case QPred(_)             => Nil
+  }
+
+  /** `f(args)`; `min(a, b)` and `max(a, b)` are their monoids' ⊕. */
+  def call(f: String, args: List[CExpr]): CExpr = (f, args) match {
+    case ("min" | "max", List(a, b)) => CBin(f, a, b)
+    case _                           => CCall(f, args)
   }
 
   /** Replace every CReduce node with a fresh variable; returns the rewritten
@@ -204,18 +201,14 @@ object Comprehension {
     s"{ ${show(c.head)} | ${c.quals.map(show).mkString(", ")} }"
 
   def show(q: Qual): String = q match {
-    case Gen(p, s)           => s"${show(p)} <- ${show(s)}"
-    case QLet(p, e)          => s"let ${show(p)} = ${show(e)}"
+    case Gen(List(v), s)     => s"$v <- ${show(s)}"
+    case Gen(vs, s)          => s"${vs.mkString("(", ",", ")")} <- ${show(s)}"
+    case QLet(v, e)          => s"let $v = ${show(e)}"
     case QPred(e)            => show(e)
     case QGroup(Nil, Nil)    => "group by ()"
     case QGroup(kv, ks)      =>
       s"group by (${kv.mkString(",")}) : (${ks.map(show).mkString(",")})"
     case QLookup(v, a, k, d) => s"$v <- lookup $a[${k.mkString(",")}] default $d"
-  }
-
-  def show(p: Pat): String = p match {
-    case PVar(n)  => n
-    case PTup(ps) => ps.map(show).mkString("(", ",", ")")
   }
 
   def show(e: CExpr): String = e match {
@@ -231,6 +224,5 @@ object Comprehension {
     case CTup(es)           => es.map(show).mkString("(", ",", ")")
     case CCall(f, as)       => s"$f(${as.map(show).mkString(",")})"
     case CReduce(m, b)      => s"${m.op}/${show(b)}"
-    case CCombine(m, l, r)  => s"(${show(l)} ${m.op} ${show(r)})"
   }
 }

@@ -37,10 +37,10 @@ object Optimize {
     // one elimination step: (rangeIdx, predIdx, genIdx, loopVar, lo, hi, indexVar)
     def step(quals: List[Qual]): Option[List[Qual]] = {
       val cand = (for {
-        (Gen(PVar(i), CRange(lo, hi)), ri) <- quals.zipWithIndex.iterator
+        (Gen(List(i), CRange(lo, hi)), ri) <- quals.zipWithIndex.iterator
         if freeVars(lo).isEmpty && freeVars(hi).isEmpty
-        (Gen(p: PTup, CArr(_)), gi) <- quals.zipWithIndex.iterator
-        idxVars = p.vars.dropRight(1).toSet
+        (Gen(vs, CArr(_)), gi) <- quals.zipWithIndex.iterator
+        idxVars = vs.dropRight(1).toSet
         (QPred(CBin("==", CVar(a), CVar(b))), pi) <- quals.zipWithIndex.iterator
         iv <- if (idxVars(a) && b == i) Some(a)
               else if (idxVars(b) && a == i) Some(b)
@@ -50,7 +50,7 @@ object Optimize {
         val without = quals.indices.filter(ix => ix != ri && ix != pi).map(quals)
         val genPos  = gi - (if (ri < gi) 1 else 0) - (if (pi < gi) 1 else 0)
         val inserted = List[Qual](
-          QLet(PVar(i), CVar(iv)),
+          QLet(i, CVar(iv)),
           QPred(CBin("<=", lo, CVar(i))),
           QPred(CBin("<=", CVar(i), hi)))
         (without.take(genPos + 1) ++ inserted ++ without.drop(genPos + 1)).toList
@@ -71,7 +71,7 @@ object Optimize {
     splitAtGroup(c.quals) match {
       case Some((pre, QGroup(kvars, keys), post))
           if kvars.nonEmpty && keys.forall(k => freeVars(k).isEmpty) =>
-        val lets = kvars.zip(keys).map { case (v, k) => QLet(PVar(v), k) }
+        val lets = kvars.zip(keys).map { case (v, k) => QLet(v, k) }
         Comp(c.head, pre ::: (QGroup(Nil, Nil) :: lets) ::: post)
       case _ => c
     }
@@ -90,7 +90,7 @@ object Optimize {
         val uf = new UnionFind
         pre.foreach {
           case QPred(CBin("==", CVar(a), CVar(b))) => uf.union(a, b)
-          case QLet(PVar(a), CVar(b))              => uf.union(a, b)
+          case QLet(a, CVar(b))                    => uf.union(a, b)
           case _                                   => ()
         }
         val keyVars: Set[String] =
@@ -98,13 +98,13 @@ object Optimize {
         val allKeysAreVars = keys.forall(_.isInstanceOf[CVar])
         def determined(v: String) = keyVars.contains(uf.find(v))
         val unique = allKeysAreVars && pre.forall {
-          case Gen(PVar(v), CRange(_, _)) => determined(v)
-          case Gen(p: PTup, CArr(_))      => p.vars.dropRight(1).forall(determined)
+          case Gen(List(v), CRange(_, _)) => determined(v)
+          case Gen(vs, CArr(_))           => vs.dropRight(1).forall(determined)
           case _                          => true
         }
         if (!unique) c
         else {
-          val lets = kvars.zip(keys).map { case (v, k) => QLet(PVar(v), k) }
+          val lets = kvars.zip(keys).map { case (v, k) => QLet(v, k) }
           val post2 = post.map {
             case QLet(p, e) => QLet(p, dropReduce(e))
             case QPred(e)   => QPred(dropReduce(e))

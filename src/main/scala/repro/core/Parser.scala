@@ -182,13 +182,9 @@ object Parser {
       } else {
         val d = lval()
         val s = peek match {
-          case TSym(":=", _)  => next(); Assign(d, expr())
-          case TSym("+=", _)  => next(); IncrAssign(d, "+", expr())
-          case TSym("*=", _)  => next(); IncrAssign(d, "*", expr())
-          case TSym("&&=", _) => next(); IncrAssign(d, "&&", expr())
-          case TSym("||=", _) => next(); IncrAssign(d, "||", expr())
-          case TSym("min=", _) => next(); IncrAssign(d, "min", expr())
-          case TSym("max=", _) => next(); IncrAssign(d, "max", expr())
+          case TSym(":=", _) => next(); Assign(d, expr())
+          case TSym(op @ ("+=" | "*=" | "&&=" | "||=" | "min=" | "max="), _) =>
+            next(); IncrAssign(d, op.init, expr())
           case _ => fail("expected assignment operator")
         }
         eatSym(";")

@@ -188,10 +188,10 @@ object Plan {
         carried.toList.collect { case QPred(e) => e }
       }
       q match {
-        case Gen(PVar(v), CRange(lo, hi)) => out += RangeGen(v, lo, hi, carry(List(v)))
-        case Gen(p: PTup, CArr(a)) =>
-          val (idxVars, valVar) = (p.vars.init, p.vars.last)
-          val conds = carry(p.vars)
+        case Gen(List(v), CRange(lo, hi)) => out += RangeGen(v, lo, hi, carry(List(v)))
+        case Gen(vs @ (_ :: _ :: _), CArr(a)) =>
+          val (idxVars, valVar) = (vs.init, vs.last)
+          val conds = carry(vs)
           val keys = scala.collection.mutable.SortedMap.empty[Int, CExpr]
           def isKey(x: CExpr, e: CExpr): Boolean = x match {
             case CVar(n) if idxVars.contains(n) && freeVars(e).subsetOf(bound) &&
@@ -206,9 +206,7 @@ object Plan {
           out += Scan(idxVars, valVar, a, conds, keys.toList, filters)
         case g: Gen =>
           throw new IllegalArgumentException(s"bad generator ${show(g)}")
-        case QLet(PVar(v), e) => out += Let(v, e)
-        case QLet(p, _) =>
-          throw new IllegalArgumentException(s"unsupported let pattern ${show(p)}")
+        case QLet(v, e) => out += Let(v, e)
         case QPred(e) => out += Cond(e)
         case q @ (_: QGroup | _: QLookup) =>
           throw new IllegalArgumentException(s"unexpected ${show(q)}")

@@ -95,7 +95,7 @@ object Translate {
         val m = Monoid.ofOp(op)
         sigs += n -> ScalarSig
         val (qe, v) = expr(e)
-        val head = CCombine(m, CState(n), CReduce(m, v))
+        val head = CBin(m.op, CState(n), CReduce(m, v))
         List(TAssign(n, Comp(head, qs ++ qe :+ QGroup(Nil, Nil)), isArray = false))
 
       case IncrAssign(LIndex(a, idxs), op, e) => // rule (15a), array destination
@@ -106,7 +106,7 @@ object Translate {
         val kvars = List.fill(ka)(fresh("k"))
         val w     = fresh("w")
         val head  = CTup(kvars.map(CVar(_): CExpr) :+
-                         CCombine(m, CVar(w), CReduce(m, v)))
+                         CBin(m.op, CVar(w), CReduce(m, v)))
         val quals = qs ++ qe ++ qk ++
           List(QGroup(kvars, ks), QLookup(w, a, kvars, defaultOf(m)))
         List(TAssign(a, Comp(head, quals), isArray = true))
@@ -115,7 +115,7 @@ object Translate {
         val (ql, l) = expr(lo)
         val (qh, h) = expr(hi)
         withLoopVar(v) {
-          stmt(body, qs ++ ql ++ qh :+ Gen(PVar(v), CRange(l, h)))
+          stmt(body, qs ++ ql ++ qh :+ Gen(List(v), CRange(l, h)))
         }
 
       case ForIn(v, coll, body) => // rule (15e)
@@ -125,7 +125,7 @@ object Translate {
         }
         val ivars = List.fill(ka)(fresh("i"))
         withLoopVar(v) {
-          stmt(body, qs :+ Gen(PTup(ivars.map(PVar(_): Pat) :+ PVar(v)), CArr(coll)))
+          stmt(body, qs :+ Gen(ivars :+ v, CArr(coll)))
         }
 
       case While(c, body) => // rule (15f): sequential
@@ -182,7 +182,7 @@ object Translate {
         val (qk, ks) = exprs(idxs)
         val ivars = List.fill(ka)(fresh("i"))
         val v     = fresh("v")
-        val gen   = Gen(PTup(ivars.map(PVar(_): Pat) :+ PVar(v)), CArr(a))
+        val gen   = Gen(ivars :+ v, CArr(a))
         val preds = ivars.zip(ks).map { case (i, k) =>
           QPred(CBin("==", CVar(i), k))
         }
@@ -203,7 +203,7 @@ object Translate {
         val (qs2, vs) = exprs(es); (qs2, CTup(vs))
 
       case CallE(f, args) =>
-        val (qs2, vs) = exprs(args); (qs2, CCall(f, vs))
+        val (qs2, vs) = exprs(args); (qs2, call(f, vs))
     }
 
     private def exprs(es: List[Expr]): (List[Qual], List[CExpr]) = {

@@ -24,7 +24,8 @@ abstract class Executor[V] {
   /** First column of the first row of `c`; None when `c` is empty. */
   protected def first(c: Comp, state: State): Option[Any]
   /** `old ◁ c` for an array whose value is `old`: the rows of `c` (keys,
-    * then value) override `old`.
+    * then value) override `old`, and `c`'s old value (`Plan.old`) is read
+    * from `old`.
     */
   protected def merge(old: V, c: Comp, keyArity: Int, state: State): V
 
@@ -48,6 +49,8 @@ abstract class Executor[V] {
         }
       case Left(TInit(n, ka)) => state(n) = emptyArray(ka)
       case Left(TAssign(n, c, true)) =>
+        for (QLookup(_, a, _, _) <- c.quals if a != n) throw new IllegalArgumentException(
+          s"the update of $n reads the old value of $a")
         val ka = headColumns(c.head).length - 1
         state(n) = merge(state.getOrElse(n, emptyArray(ka)), c, ka, state)
       case Left(TAssign(n, c, false)) => value(c).foreach(v => state(n) = scalar(v))

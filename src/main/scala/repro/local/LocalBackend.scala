@@ -130,6 +130,7 @@ object LocalBackend {
             case "<=" => compareAny(a, b) <= 0
             case ">"  => compareAny(a, b) > 0
             case ">=" => compareAny(a, b) >= 0
+            case "min" | "max" => combine(Monoid.ofOp(op), a, b)
           }
       }
     case CUn("-", b) => arith("-", 0L, evalExpr(b, env, scalar))
@@ -146,11 +147,8 @@ object LocalBackend {
         case "pow"  => math.pow(toD(vs(0)), toD(vs(1)))
         case "exp"  => math.exp(toD(vs.head))
         case "log"  => math.log(toD(vs.head))
-        case "min"  => combine(MMin, vs(0), vs(1))
-        case "max"  => combine(MMax, vs(0), vs(1))
         case other  => throw new IllegalArgumentException(s"unknown function $other")
       }
-    case CCombine(m, l, r) => combine(m, evalExpr(l, env, scalar), evalExpr(r, env, scalar))
     case CUn(op, _)  => throw new IllegalArgumentException(s"unknown unary $op")
     case CArr(_) | CRange(_, _) | CReduce(_, _) =>
       throw new IllegalArgumentException(s"not a scalar expression: ${show(e)}")
@@ -242,13 +240,15 @@ object LocalBackend {
       if (par) cs.par.map(ch => f(ch())).seq else cs.map(ch => f(ch()))
     }
 
-    /** Evaluate a comprehension to its rows (flattened head columns). */
-    def rows(c: Comp): Seq[List[Any]] = {
+    /** Evaluate a comprehension to its rows (flattened head columns), with
+      * the plan's old value read from `old`, the array they merge into.
+      */
+    def rows(c: Comp, old: Map[List[Any], Any]): Seq[List[Any]] = {
       val p = Plan.plan(c)
       // the old value is bound after every step, just before the head
       def emit(env: Env): List[Any] = {
-        val full = p.old.fold(env) { case Lookup(v, arr, keyVars, default) =>
-          env + (v -> array(arr).m.getOrElse(keyVars.map(env), default.value)) }
+        val full = p.old.fold(env) { case Lookup(v, _, keyVars, default) =>
+          env + (v -> old.getOrElse(keyVars.map(env), default.value)) }
         p.head.map(ev(_, full))
       }
       p.group match {
@@ -295,7 +295,7 @@ object LocalBackend {
   def driverValue(c: Comp, scalar: String => Any): Option[Any] =
     new Evaluator(scalar,
       a => throw new IllegalArgumentException(s"array $a read on the driver"),
-      par = false).rows(c).headOption.map(_.head)
+      par = false).rows(c, Map.empty).headOption.map(_.head)
 
   // ------------------------------------------------------------ execution
 
@@ -315,13 +315,13 @@ object LocalBackend {
         case _ => throw new IllegalArgumentException(s"$n is not an array")
       }, par)
     protected def first(c: Comp, state: State) =
-      evaluator(state).rows(c).headOption.map(_.head)
+      evaluator(state).rows(c, Map.empty).headOption.map(_.head)
     protected def merge(old: Data, c: Comp, ka: Int, state: State) = {
       val entries = old match {
         case ArrayD(m, _) => m
         case _            => Map.empty[List[Any], Any]
       }
-      val rows = evaluator(state).rows(c)
+      val rows = evaluator(state).rows(c, entries)
       ArrayD(entries ++ rows.iterator.map(r => (r.take(ka), r.last)), ka)
     }
   }.run(prog, init)

@@ -22,7 +22,7 @@ import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
   *    exploded per binding;
   *  - a group-by becomes `groupBy(keys).agg(...)` with one aggregate per
   *    extracted reduction (an empty key gives a global aggregate — the
-  *    backend form of rule 16);
+  *    backend form of rule 16 — with no row over an empty input);
   *  - the new side of an inner or cross join is broadcast when its
   *    estimated size is at most `BroadcastBytes` (see `Compiler.small`);
   *  - an array assignment `X := X ◁ c` (rule 15a) is one full-outer join
@@ -152,6 +152,7 @@ object SparkBackend {
           case "<" => a < b;   case "<=" => a <= b
           case ">" => a > b;   case ">=" => a >= b
           case "&&" => a && b; case "||" => a || b
+          case "min" => least(a, b); case "max" => greatest(a, b) // skip nulls
         }
       case CUn("-", b)  => -col_(b, env)
       case CUn("!", b)  => !col_(b, env)
@@ -169,19 +170,7 @@ object SparkBackend {
           // Spark's log is NULL for x <= 0; the local backend's is Java's
           case "log"  => when(cs.head > 0, log(cs.head))
             .when(cs.head === 0, Double.NegativeInfinity).otherwise(Double.NaN)
-          case "min"  => least(cs(0), cs(1))
-          case "max"  => greatest(cs(0), cs(1))
           case other  => throw new IllegalArgumentException(s"unknown function $other")
-        }
-      case CCombine(m, l, r) =>
-        val (a, b) = (col_(l, env), col_(r, env))
-        m match {
-          case MSum  => a + b
-          case MProd => a * b
-          case MAnd  => a && b
-          case MOr   => a || b
-          case MMin  => least(a, b)   // least/greatest skip nulls
-          case MMax  => greatest(a, b)
         }
       case other =>
         throw new IllegalArgumentException(s"not a column expression: ${show(other)}")
@@ -288,9 +277,11 @@ object SparkBackend {
         }
         val aggs = redArgs.map { case (_, m, argN, outN) =>
           aggOf(m, col(argN), b.schema(argN).dataType).as(outN) }
-        cur = Some(
-          if (keyNames.isEmpty) b.agg(aggs.head, aggs.tail: _*)
-          else b.groupBy(keyNames.map(col): _*).agg(aggs.head, aggs.tail: _*))
+        val grouped = b.groupBy(keyNames.map(col): _*)
+        // an empty key is a global aggregate, which has a row even over no
+        // input, where the local backend has no group: the count drops it
+        cur = Some(if (keyNames.nonEmpty) grouped.agg(aggs.head, aggs.tail: _*)
+          else { val n = fresh(); grouped.agg(count(lit(1)).as(n), aggs: _*).filter(col(n) > 0) })
         env = kvars.zip(keyNames).toMap ++ redArgs.map { case (rv, _, _, outN) => rv -> outN }
       }
       p.post.foreach(step)

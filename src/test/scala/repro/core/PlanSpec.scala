@@ -13,7 +13,7 @@ import repro.spark.{SparkBackendSmokeSpec, SparkTestUtil}
 class PlanSpec extends SparkSpec {
 
   private def scan(i: String, v: String, arr: String): Qual =
-    Gen(PTup(List(PVar(i), PVar(v))), CArr(arr))
+    Gen(List(i, v), CArr(arr))
   private def eq(l: CExpr, r: CExpr): Qual = QPred(CBin("==", l, r))
   private def scans(p: Plan): Map[String, Scan] =
     p.pre.collect { case s: Scan => s.arr -> s }.toMap
@@ -56,14 +56,14 @@ class PlanSpec extends SparkSpec {
     assert(p.pre.last == Cond(CBin(">", CState("s"), CLit(0L))))
   }
 
-  private val sumInto = CTup(List(CVar("k"), CCombine(MSum, CVar("w"), CReduce(MSum, CVar("v")))))
+  private val sumInto = CTup(List(CVar("k"), CBin("+", CVar("w"), CReduce(MSum, CVar("v")))))
   private val lookupW = QLookup("w", "C", List("k"), DZero)
 
   test("the group-by splits the steps and its reductions come from the head") {
     val p = Plan.plan(Comp(sumInto,
       List(scan("i", "v", "A"), QGroup(List("k"), List(CVar("i"))), lookupW)))
     assert(p.group == Some(Group(List("k"), List(CVar("i")), List(("_r1", MSum, CVar("v"))))))
-    assert(p.head == List(CVar("k"), CCombine(MSum, CVar("w"), CVar("_r1"))))
+    assert(p.head == List(CVar("k"), CBin("+", CVar("w"), CVar("_r1"))))
     assert(p.post.isEmpty && p.old == Some(Lookup("w", "C", List("k"), DZero)))
   }
 
@@ -97,10 +97,10 @@ class PlanSpec extends SparkSpec {
     assert(e.getMessage.contains("post-group"))
   }
 
-  test("malformed generators and let patterns are rejected") {
+  test("malformed generators and unbound qualifiers are rejected") {
     for ((quals, error) <- List(
-        (List(Gen(PVar("x"), CArr("A"))), "bad generator"),
-        (List(QLet(PTup(List(PVar("x"))), CLit(1L))), "unsupported let pattern"),
+        // an array generator binds index and value names
+        (List(Gen(List("x"), CArr("A"))), "bad generator"),
         // a condition on a never-bound variable
         (List(scan("i", "x", "A"), QPred(CBin(">", CVar("y"), CLit(0L)))),
           "unbound qualifiers: (y > 0)")))
@@ -169,7 +169,7 @@ class PlanSpec extends SparkSpec {
     assert(scanAB("A", CVar("i")).pre ==
       List(Scan(List("i"), "x", "A", Nil, Nil, Nil), Let("j", CVar("i")), Let("y", CVar("x"))))
     // through a let alias, and through the index an earlier key fixes
-    val c = Comp(CVar("z"), List(scan("i", "x", "A"), QLet(PVar("m"), CVar("i")),
+    val c = Comp(CVar("z"), List(scan("i", "x", "A"), QLet("m", CVar("i")),
       scan("j", "y", "B"), eq(CVar("j"), CVar("m")),
       scan("k", "z", "A"), eq(CVar("k"), CVar("j"))))
     assert(scanCount(Plan.plan(c).pre) == 2)
@@ -185,8 +185,8 @@ class PlanSpec extends SparkSpec {
     assert(scanCount(scanAB("B", CVar("i")).pre) == 2)
     assert(scanCount(scanAB("A", CBin("+", CVar("i"), CLit(1L))).pre) == 2)
     // A[i, _] after A[i, j]: the second scan fixes only its first index
-    val m = Comp(CVar("y"), List(Gen(PTup(List(PVar("i"), PVar("j"), PVar("x"))), CArr("A")),
-      Gen(PTup(List(PVar("k"), PVar("l"), PVar("y"))), CArr("A")), eq(CVar("k"), CVar("i"))))
+    val m = Comp(CVar("y"), List(Gen(List("i", "j", "x"), CArr("A")),
+      Gen(List("k", "l", "y"), CArr("A")), eq(CVar("k"), CVar("i"))))
     assert(scanCount(Plan.plan(m).pre) == 2)
     // B rebinds i, so the key i is not A's first index
     val rebound = Comp(CVar("y"), List(scan("i", "x", "A"), scan("i", "w", "B"),

@@ -65,7 +65,8 @@ class TranslateSpec extends AnyFunSuite {
     val List(TAssign("s", c, false)) =
       tr("for v in V do s += v;", vecV ++ Map("s" -> ScalarSig)): @unchecked
     assert(groups(c) == List(QGroup(Nil, Nil)))
-    assert(c.head.isInstanceOf[CCombine])
+    assert(c.head match {
+      case CBin("+", CState("s"), CReduce(MSum, _)) => true; case _ => false })
   }
 
   test("if-condition becomes a predicate qualifier (15g)") {
@@ -148,7 +149,7 @@ class TranslateSpec extends AnyFunSuite {
   test("freeVars and extractReduces walk every expression form left to right") {
     val minC = CReduce(MMin, CVar("c"))
     val sumAB = CReduce(MSum, CBin("*", CVar("a"), CVar("b")))
-    def e(r1: CExpr, r2: CExpr) = CCombine(MSum,
+    def e(r1: CExpr, r2: CExpr) = CBin("+",
       CBin("<", r1, CUn("-", CField(CVar("p"), "_1"))),
       CTup(List(CCall("sqrt", List(CState("s"))), r2, r1,
         CRange(CVar("lo"), CLit(9L)), CArr("A"))))
@@ -201,7 +202,6 @@ class TranslateSpec extends AnyFunSuite {
     def hasReduce(e: CExpr): Boolean = e match {
       case CReduce(_, _) => true
       case CTup(es)      => es.exists(hasReduce)
-      case CCombine(_, l, r) => hasReduce(l) || hasReduce(r)
       case CBin(_, l, r) => hasReduce(l) || hasReduce(r)
       case _             => false
     }

@@ -30,8 +30,8 @@ class ExecutorSpec extends AnyFunSuite {
   // s := { $s + +/v | (_i1,v) <- V, preds..., group by () }
   private def sumOver(n: String, arr: String, head: CExpr => CExpr = identity,
                       preds: List[CExpr] = Nil): TAssign =
-    TAssign(n, Comp(CCombine(MSum, CState(n), CReduce(MSum, head(CVar("v")))),
-      (Gen(PTup(List(PVar("_i1"), PVar("v"))), CArr(arr)) :: preds.map(QPred)) :+
+    TAssign(n, Comp(CBin("+", CState(n), CReduce(MSum, head(CVar("v")))),
+      (Gen(List("_i1", "v"), CArr(arr)) :: preds.map(QPred)) :+
         QGroup(Nil, Nil)), isArray = false)
 
   private def ran(ts: TStmt*): List[Either[TStmt, List[TAssign]]] =
@@ -64,7 +64,7 @@ class ExecutorSpec extends AnyFunSuite {
   test("an array statement between two siblings separates them") {
     val (s, t) = (sumOver("s", "V"), sumOver("t", "V"))
     val a = TAssign("A", Comp(CTup(List(CVar("_i1"), CVar("v"))),
-      List(Gen(PTup(List(PVar("_i1"), PVar("v"))), CArr("V")))), isArray = true)
+      List(Gen(List("_i1", "v"), CArr("V")))), isArray = true)
     assert(ran(s, a, t) == List(Left(s), Left(a), Left(t)))
   }
 }

@@ -9,7 +9,8 @@ import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.joins.BaseJoinExec
 import org.apache.spark.sql.util.QueryExecutionListener
-import repro.core.Translate.{ArraySig, ScalarSig, Sig, TAssign, TStmt, TWhileS}
+import repro.core.Comprehension._
+import repro.core.Translate.{ArraySig, ScalarSig, Sig, TAssign, TInit, TStmt, TWhileS}
 import repro.local.{Executor, LocalBackend}
 import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
 import repro.programs.Benchmarks
@@ -36,6 +37,20 @@ class SparkBackendSmokeSpec extends SparkSpec {
     val empty = ArrayD(Map.empty, 1)
     assertAgree("empty", Diablo.compile(src, sigs), Map("V" -> empty, "W" -> empty),
       List("s", "C"))
+  }
+
+  test("a rule-16 update over an empty input leaves the array empty on every backend") {
+    for (op <- List("+=", "min=")) {
+      // no v is negative: the constant-key group-by has no input
+      val (code, data) = overV(
+        s"var C: vector[double] = vector(); for v in V do if (v < 0.0) C[0] $op v;",
+        1.0, 2.0, 3.0, 4.0, 5.0)
+      val TAssign(_, c, true) = code.last: @unchecked
+      assert(c.quals.contains(QGroup(Nil, Nil)), op)
+      for (par <- List(false, true))
+        assert(LocalBackend.run(code, data, par)("C") == ArrayD(Map.empty, 1), s"$op, par = $par")
+      assertAgree(op, code, data, List("C"))
+    }
   }
 
   test("range bounds that depend on loop variables agree with the local backend") {
@@ -219,6 +234,18 @@ class SparkBackendSmokeSpec extends SparkSpec {
     for (par <- List(false, true))
       assert(LocalBackend.run(uniqueKeyUpdate, wData, par)("V") == expected, s"par = $par")
     assertAgree("V[i] += W[i]", uniqueKeyUpdate, wData, List("V"))
+  }
+
+  test("an update that reads the old value of another array is rejected on both backends") {
+    // C := C <| { (k, w + +/v) | (i,v) <- V, group by k : i, w <- lookup D[k] }
+    val head = CTup(List(CVar("k"), CBin("+", CVar("w"), CReduce(MSum, CVar("v")))))
+    val code = List(TInit("C", 1), TAssign("C", Comp(head, List(Gen(List("i", "v"), CArr("V")),
+      QGroup(List("k"), List(CVar("i"))), QLookup("w", "D", List("k"), DZero))), isArray = true))
+    val vec = ArrayD(Map(List[Any](0L) -> 1.0), 1)
+    val data = Map("V" -> vec, "D" -> vec)
+    val error = "the update of C reads the old value of D"
+    assert(intercept[IllegalArgumentException](LocalBackend.run(code, data)).getMessage == error)
+    assertRaisesOnSpark(code, data, error)
   }
 
   /** Join nodes in the optimized logical plan of the last statement of

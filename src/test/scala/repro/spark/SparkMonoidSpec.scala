@@ -1,8 +1,10 @@
 package repro.spark
 
 import repro.SparkSpec
+import repro.core.Comprehension._
 import repro.core.Diablo
 import repro.core.Translate._
+import repro.local.LocalBackend
 import repro.local.LocalBackend.{ArrayD, Data, ScalarD}
 import repro.spark.SparkBackend._
 import repro.spark.SparkTestUtil._
@@ -55,6 +57,25 @@ class SparkMonoidSpec extends SparkSpec {
       assert(cs.values.map(_.getClass).toSet == Set(classOf[java.lang.Double]), backend)
       assert(cs == c, backend)
     }
+  }
+
+  test("min(a, b) and min= compile to the same CBin and agree on all three backends") {
+    val code = Diablo.compile(
+      "var lo: double = 10.0; var C: vector[double] = vector(); " +
+      "for i = 0, 3 do C[i] := min(V[i], 1.5); for v in V do lo min= v;",
+      Map("V" -> ArraySig(1)))
+    // C := C <| { (k, (v min 1.5)) | ... }, lo := { ($lo min min/v) | ... }
+    assert(code.exists {
+      case TAssign("C", Comp(CTup(List(_, CBin("min", _, CLit(1.5)))), _), true) => true
+      case _ => false })
+    assert(code.exists {
+      case TAssign("lo", Comp(CBin("min", CState("lo"), CReduce(MMin, _)), _), false) => true
+      case _ => false })
+    val data = Map("V" -> vec(0L -> 3.0, 1L -> -1.0, 2L -> 2.0, 3L -> 0.5))
+    val expected = Map("lo" -> ScalarD(-1.0), "C" -> vec(0L -> 1.5, 1L -> -1.0, 2L -> 1.5, 3L -> 0.5))
+    for (par <- List(false, true))
+      assert(expected.forall { case (n, v) => LocalBackend.run(code, data, par)(n) == v }, s"par = $par")
+    assertAgree(spark, "min", code, data, List("lo", "C"))
   }
 
   test("scalar min=/max= on Spark") {
